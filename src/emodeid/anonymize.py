@@ -58,7 +58,7 @@ def warp_pole_angles(poles: PoleSet, mcadams_lambda: float, epsilon: float) -> P
             out[i] = p
         else:
             out[i] = mag * np.exp(1j * np.sign(np.angle(p)) * new_theta)
-    return PoleSet(out, poles.gain)
+    return PoleSet(out)
 
 
 def anonymize_mcadams(audio: AudioSignal, params: AnonymizationParams) -> AudioSignal:

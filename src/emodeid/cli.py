@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import click
@@ -25,7 +24,6 @@ from .errors import (
     ClientUnavailableError,
     DetectorUnavailableError,
     EmodeidError,
-    InvalidParamError,
     ParseError,
     ResponseEmptyError,
 )
@@ -33,6 +31,7 @@ from .pipeline import (
     MODES,
     DirectoryMediaSource,
     SamplingConfig,
+    atomic_path,
     read_results,
     run_batch,
     write_results,
@@ -79,22 +78,6 @@ def _echo_config(name, cfg):
     click.echo(f"config {name}: " + json.dumps(cfg, sort_keys=True))
 
 
-def _atomic_write_bytes(path: Path, data: bytes):
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write_text(path: Path, text: str):
-    _atomic_write_bytes(path, text.encode("utf-8"))
-
-
 @click.group()
 def cli():
     """Privacy-preserving multimodal emotion analysis toolkit."""
@@ -126,15 +109,8 @@ def cmd_anonymize_audio(ctx, input_path, output_path, mcadams_lambda, win_ms, sh
         mcadams_lambda=cfg["mcadams_lambda"],
     )
     out = anonymize_mcadams(audio, params)
-    fd, tmp = tempfile.mkstemp(dir=output_path.parent or Path("."), prefix=f".{output_path.name}.")
-    os.close(fd)
-    try:
+    with atomic_path(output_path) as tmp:
         write_wav(tmp, out, encoding)
-        os.replace(tmp, output_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
     click.echo(f"wrote {output_path} ({out.duration_s:.2f} s at {out.sample_rate_hz} Hz)")
 
 
@@ -161,33 +137,14 @@ def cmd_mask_frames(frames_dir, output_dir, boxes_path, detector_url, sigma, sig
     )
     paths = sorted(frames_dir.glob("*.ppm"))
     output_dir.mkdir(parents=True, exist_ok=True)
-    failed = []
-    known = set()
     for index, path in enumerate(paths):
         frame = read_ppm(path)
-        known.add(index)
-        try:
-            boxes = detector.detect(frame, index)
-        except DetectorUnavailableError as exc:
-            failed.append(path.name)
-            click.echo(f"detector failed on {path.name}: {exc}", err=True)
-            continue
-        masked = mask_frames([frame], boxes)[0]
-        out_path = output_dir / path.name
-        fd, tmp = tempfile.mkstemp(dir=output_dir, prefix=f".{path.name}.")
-        os.close(fd)
-        try:
+        masked = mask_frames([frame], detector.detect(frame, index))[0]
+        with atomic_path(output_dir / path.name) as tmp:
             write_ppm(tmp, masked)
-            os.replace(tmp, out_path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
     if isinstance(detector, SidecarDetector):
-        for idx in sorted(set(detector.boxes) - known):
+        for idx in sorted(set(detector.boxes) - set(range(len(paths)))):
             click.echo(f"warning: boxes reference missing frame index {idx}; skipped", err=True)
-    if failed:
-        raise DetectorUnavailableError(f"detection failed for frames: {', '.join(failed)}")
     click.echo(f"masked {len(paths)} frames into {output_dir}")
 
 
@@ -221,13 +178,11 @@ def _build_clients(mock_fixtures, mllm_endpoint, judge_endpoint, auth_token, tim
 @click.option("--mel-bins", type=int, default=None)
 @click.option("--max-segments", type=int, default=None)
 @click.option("--workers", type=int, default=None)
-@click.option("--seed", type=int, default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True, path_type=Path), default=None)
 @click.pass_context
 def cmd_run_pipeline(ctx, annotations_path, media_root, output_dir, mode, mock_fixtures,
                      mllm_endpoint, judge_endpoint, auth_token, timeout_s, max_attempts,
-                     frame_count, audio_segment_s, mel_bins, max_segments, workers, seed,
-                     config_path):
+                     frame_count, audio_segment_s, mel_bins, max_segments, workers, config_path):
     """Run the two-stage inference over every annotated video."""
     cfg = _resolve(
         ctx,
@@ -243,7 +198,6 @@ def cmd_run_pipeline(ctx, annotations_path, media_root, output_dir, mode, mock_f
         mel_bins=128,
         max_segments=None,
         workers=os.cpu_count() or 4,
-        seed=0,
     )
     records = ann.load_annotations(annotations_path)
     media = DirectoryMediaSource(media_root)
@@ -256,7 +210,8 @@ def cmd_run_pipeline(ctx, annotations_path, media_root, output_dir, mode, mock_f
     echo_cfg = dict(cfg, mock_fixtures=str(mock_fixtures) if mock_fixtures else None)
     _echo_config("run-pipeline", echo_cfg)
     output_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write_text(output_dir / "config.json", json.dumps(echo_cfg, sort_keys=True, indent=2) + "\n")
+    with atomic_path(output_dir / "config.json") as tmp:
+        tmp.write_text(json.dumps(echo_cfg, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
     modes = list(MODES) if cfg["mode"] == "all" else [cfg["mode"]]
     labels = {r.video_id: r.emotion for r in records}
@@ -279,13 +234,15 @@ def cmd_run_pipeline(ctx, annotations_path, media_root, output_dir, mode, mock_f
             report = met.evaluate(
                 [t[0] for t in triples], [t[1] for t in triples], [t[2] for t in triples]
             )
-            _atomic_write_text(mode_dir / "summary.txt", report.format() + "\n")
+            with atomic_path(mode_dir / "summary.txt") as tmp:
+                tmp.write_text(report.format() + "\n", encoding="utf-8")
         click.echo(f"mode {m}: {len(outcome.results)} results, {len(outcome.failures)} failures")
     populated = {m: t for m, t in per_mode.items() if t}
     if populated:
         table = met.ablation_report(populated)
-        _atomic_write_text(output_dir / "ablation.txt", table + "\n")
-        _atomic_write_text(output_dir / "ablation.csv", met.ablation_csv(populated) + "\n")
+        for name, text in (("ablation.txt", table), ("ablation.csv", met.ablation_csv(populated))):
+            with atomic_path(output_dir / name) as tmp:
+                tmp.write_text(text + "\n", encoding="utf-8")
         click.echo(table)
 
 
@@ -341,7 +298,8 @@ def cmd_stats(annotations_path, histogram_csv):
             f"{cid},{ann.NFBL_REGISTRY[cid].name!r},{ann.NFBL_REGISTRY[cid].category.value},{hist[cid]}"
             for cid in sorted(hist, key=lambda c: int(c[1:]))
         ]
-        _atomic_write_text(histogram_csv, "\n".join(lines) + "\n")
+        with atomic_path(histogram_csv) as tmp:
+            tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
         click.echo(f"wrote {histogram_csv}")
 
 
@@ -360,9 +318,6 @@ def main(argv=None):
     except (ClientUnavailableError, DetectorUnavailableError, ResponseEmptyError) as exc:
         click.echo(f"remote-client error: {exc}", err=True)
         return EXIT_REMOTE
-    except ParseError as exc:
-        click.echo(f"validation error: {exc}", err=True)
-        return EXIT_VALIDATION
     except EmodeidError as exc:
         click.echo(f"validation error: {exc}", err=True)
         return EXIT_VALIDATION

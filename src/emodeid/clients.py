@@ -11,6 +11,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import threading
 import time
 from abc import ABC, abstractmethod
 from pathlib import Path
@@ -43,23 +44,54 @@ def request_digest(payload: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _retrying_post(session, endpoint, payload, *, timeout_s, max_attempts, backoff_s, headers):
-    last_exc = None
-    for attempt in range(max_attempts):
-        if attempt:
-            time.sleep(backoff_s * 2 ** (attempt - 1))
-        try:
-            resp = session.post(endpoint, json=payload, timeout=timeout_s, headers=headers)
-            if resp.status_code >= 500:
-                last_exc = ClientUnavailableError(
-                    f"{endpoint} returned {resp.status_code}"
+class JsonEndpoint:
+    """POST JSON to one URL; every failure surfaces as ``error``.
+
+    Network errors, undecodable replies and 5xx are retried with exponential
+    backoff; a 4xx is raised at once. Each thread gets its own session, as
+    ``run_batch`` calls clients from a pool.
+    """
+
+    def __init__(self, url, auth_token=None, timeout_s=120.0, max_attempts=3, backoff_s=1.0,
+                 error=ClientUnavailableError):
+        self.url = url
+        self.headers = {"Authorization": f"Bearer {auth_token}"} if auth_token else {}
+        self.timeout_s = timeout_s
+        self.max_attempts = max_attempts
+        self.backoff_s = backoff_s
+        self.error = error
+        self._local = threading.local()
+
+    def _session(self) -> requests.Session:
+        if not hasattr(self._local, "session"):
+            self._local.session = requests.Session()
+        return self._local.session
+
+    def post(self, payload: dict) -> dict:
+        last = None
+        for attempt in range(self.max_attempts):
+            if attempt:
+                time.sleep(self.backoff_s * 2 ** (attempt - 1))
+            try:
+                resp = self._session().post(
+                    self.url, json=payload, timeout=self.timeout_s, headers=self.headers
                 )
+                if resp.status_code < 400:
+                    return resp.json()
+            except (requests.RequestException, ValueError) as exc:
+                last = exc
                 continue
-            resp.raise_for_status()
-            return resp.json()
-        except (requests.RequestException, ValueError) as exc:
-            last_exc = exc
-    raise ClientUnavailableError(f"{endpoint} unreachable after {max_attempts} attempts: {last_exc}")
+            if resp.status_code < 500:
+                raise self.error(f"{self.url} returned {resp.status_code}")
+            last = f"returned {resp.status_code}"
+        raise self.error(f"{self.url} unreachable after {self.max_attempts} attempts: {last}")
+
+    def post_for_text(self, payload: dict) -> str:
+        """The reply's non-blank ``text`` field."""
+        text = self.post(payload).get("text", "")
+        if not text.strip():
+            raise ResponseEmptyError(f"{self.url} returned an empty response")
+        return text
 
 
 class MllmClient(ABC):
@@ -82,56 +114,22 @@ class LlmClient(ABC):
 
 class RemoteMllmClient(MllmClient):
     def __init__(self, endpoint, auth_token=None, timeout_s=120.0, max_attempts=3, backoff_s=1.0):
-        self.endpoint = endpoint
-        self.timeout_s = timeout_s
-        self.max_attempts = max_attempts
-        self.backoff_s = backoff_s
-        self.headers = {"Authorization": f"Bearer {auth_token}"} if auth_token else {}
-        self._session = requests.Session()
+        self.endpoint = JsonEndpoint(endpoint, auth_token, timeout_s, max_attempts, backoff_s)
 
     def generate(self, prompt: str, frames, spectrograms) -> str:
-        body = _retrying_post(
-            self._session,
-            self.endpoint,
-            mllm_request_payload(prompt, frames, spectrograms),
-            timeout_s=self.timeout_s,
-            max_attempts=self.max_attempts,
-            backoff_s=self.backoff_s,
-            headers=self.headers,
-        )
-        text = body.get("text", "")
-        if not text.strip():
-            raise ResponseEmptyError(f"{self.endpoint} returned an empty response")
-        return text
+        return self.endpoint.post_for_text(mllm_request_payload(prompt, frames, spectrograms))
 
 
 class RemoteLlmClient(LlmClient):
     def __init__(self, endpoint, auth_token=None, timeout_s=60.0, max_attempts=3, backoff_s=1.0):
-        self.endpoint = endpoint
-        self.timeout_s = timeout_s
-        self.max_attempts = max_attempts
-        self.backoff_s = backoff_s
-        self.headers = {"Authorization": f"Bearer {auth_token}"} if auth_token else {}
-        self._session = requests.Session()
+        self.endpoint = JsonEndpoint(endpoint, auth_token, timeout_s, max_attempts, backoff_s)
 
     def complete(self, prompt: str) -> str:
-        body = _retrying_post(
-            self._session,
-            self.endpoint,
-            {"prompt": prompt},
-            timeout_s=self.timeout_s,
-            max_attempts=self.max_attempts,
-            backoff_s=self.backoff_s,
-            headers=self.headers,
-        )
-        text = body.get("text", "")
-        if not text.strip():
-            raise ResponseEmptyError(f"{self.endpoint} returned an empty response")
-        return text
+        return self.endpoint.post_for_text({"prompt": prompt})
 
 
-class MockMllmClient(MllmClient):
-    """Replays canned responses keyed by request digest; records every call."""
+class FixtureReplay:
+    """Replays canned texts keyed by request digest; a missing key is a client error."""
 
     deterministic = True
 
@@ -139,28 +137,27 @@ class MockMllmClient(MllmClient):
         if not isinstance(fixtures, dict):
             fixtures = json.loads(Path(fixtures).read_text())
         self.fixtures = dict(fixtures)
-        self.calls: list[dict] = []
+        self.calls: list = []
+
+    def _replay(self, digest: str, what: str) -> str:
+        if digest not in self.fixtures:
+            raise ClientUnavailableError(f"no fixture {what} {digest}")
+        return self.fixtures[digest]
+
+
+class MockMllmClient(FixtureReplay, MllmClient):
+    """Replays transcripts keyed by the request digest; records every call."""
 
     def generate(self, prompt: str, frames, spectrograms) -> str:
         digest = request_digest(mllm_request_payload(prompt, frames, spectrograms))
         self.calls.append(
             {"digest": digest, "n_frames": len(frames), "n_spectrograms": len(spectrograms)}
         )
-        if digest not in self.fixtures:
-            raise ClientUnavailableError(f"no fixture transcript for request {digest}")
-        return self.fixtures[digest]
+        return self._replay(digest, "transcript for request")
 
 
-class MockLlmClient(LlmClient):
-    """Replays canned replies keyed by the digest of the prompt text."""
-
-    deterministic = True
-
-    def __init__(self, fixtures: dict[str, str] | str | Path):
-        if not isinstance(fixtures, dict):
-            fixtures = json.loads(Path(fixtures).read_text())
-        self.fixtures = dict(fixtures)
-        self.calls: list[str] = []
+class MockLlmClient(FixtureReplay, LlmClient):
+    """Replays replies keyed by the digest of the prompt text."""
 
     @staticmethod
     def prompt_digest(prompt: str) -> str:
@@ -169,6 +166,4 @@ class MockLlmClient(LlmClient):
     def complete(self, prompt: str) -> str:
         digest = self.prompt_digest(prompt)
         self.calls.append(digest)
-        if digest not in self.fixtures:
-            raise ClientUnavailableError(f"no fixture reply for prompt {digest}")
-        return self.fixtures[digest]
+        return self._replay(digest, "reply for prompt")

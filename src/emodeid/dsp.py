@@ -79,7 +79,6 @@ class LpcFrame:
 
     coefficients: np.ndarray
     residual: np.ndarray
-    prediction_error_power: float
 
 
 @dataclass
@@ -87,7 +86,6 @@ class PoleSet:
     """Poles of an all-pole synthesis filter, closed under conjugation."""
 
     poles: np.ndarray
-    gain: float = 1.0
 
     def __post_init__(self):
         self.poles = np.asarray(self.poles, dtype=np.complex128)
@@ -174,9 +172,9 @@ def lpc_residual(frame: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
 
 
 def analyze_frame(frame: np.ndarray, order: int) -> LpcFrame:
-    """LPC coefficients, residual, and error power for one windowed frame."""
-    coeffs, err = lpc_levinson(frame, order)
-    return LpcFrame(coeffs, lpc_residual(frame, coeffs), err)
+    """LPC coefficients and residual for one windowed frame."""
+    coeffs, _ = lpc_levinson(frame, order)
+    return LpcFrame(coeffs, lpc_residual(frame, coeffs))
 
 
 def poly_roots(coefficients: np.ndarray) -> np.ndarray:

@@ -12,7 +12,6 @@ MODE_LABELS = {
     "va": "video+audio",
     "van": "video+audio+nfbl",
 }
-MODE_ORDER = ["v", "va", "van"]
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ def evaluate(predictions, labels, confidences=None) -> EvalReport:
 def ablation_rows(results: dict[str, list[tuple[Emotion, Emotion, float]]]):
     """One (mode label, accuracy%, f1%, precision%, mean confidence) row per mode."""
     rows = []
-    for mode in MODE_ORDER:
+    for mode, label in MODE_LABELS.items():
         if mode not in results:
             continue
         triples = results[mode]
@@ -121,7 +120,7 @@ def ablation_rows(results: dict[str, list[tuple[Emotion, Emotion, float]]]):
         )
         rows.append(
             (
-                MODE_LABELS[mode],
+                label,
                 100 * report.accuracy,
                 100 * report.f1,
                 100 * report.precision,

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import tempfile
 import time
-from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -156,11 +158,6 @@ def build_mllm_prompt(
     return template.format(nfbl_section=render_nfbl_section(clips, registry))
 
 
-def mllm_infer(client: MllmClient, frames, spectrograms, prompt: str) -> str:
-    """Descriptive text from the multimodal model, verbatim."""
-    return client.generate(prompt, frames, spectrograms)
-
-
 def parse_judge_reply(reply: str) -> tuple[Emotion, float, bool]:
     """Parse the two-line answer grammar; confidence clamped into [0, 10]."""
     emotion_m = _EMOTION_RE.search(reply)
@@ -188,21 +185,8 @@ def judge_emotion(
         return parse_judge_reply(client.complete(prompt + REFORMAT_INSTRUCTION))
 
 
-class MediaSource(ABC):
-    """De-identified media for a video id (stage 1 already applied)."""
-
-    @abstractmethod
-    def frame_count(self, video_id: str) -> int: ...
-
-    @abstractmethod
-    def load_frame(self, video_id: str, index: int) -> FrameImage: ...
-
-    @abstractmethod
-    def load_audio(self, video_id: str) -> AudioSignal: ...
-
-
-class DirectoryMediaSource(MediaSource):
-    """Media layout: <root>/<video_id>/frames/*.ppm (sorted) and audio.wav."""
+class DirectoryMediaSource:
+    """De-identified media: <root>/<video_id>/frames/*.ppm (sorted) and audio.wav."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -223,7 +207,7 @@ class DirectoryMediaSource(MediaSource):
 
 def run_pipeline(
     record: VideoRecord,
-    media: MediaSource,
+    media: DirectoryMediaSource,
     config: SamplingConfig,
     mllm: MllmClient,
     judge: LlmClient,
@@ -254,12 +238,10 @@ def run_pipeline(
 
     clips = record.clips if mode == "van" else []
     prompt = build_mllm_prompt(clips, template=prompts.mllm_template)
-    text = mllm_infer(mllm, frames, spectrograms, prompt)
+    text = mllm.generate(prompt, frames, spectrograms)
     emotion, confidence, clamped = judge_emotion(judge, text, prompts.judge_template)
 
-    deterministic = getattr(mllm, "deterministic", False) and getattr(
-        judge, "deterministic", False
-    )
+    deterministic = mllm.deterministic and judge.deterministic
     # Deterministic (mock) runs report zero timing so result files are
     # byte-identical across reruns.
     timing = 0.0 if deterministic else time.monotonic() - started
@@ -279,7 +261,7 @@ class BatchOutcome:
 
 def run_batch(
     records: list[VideoRecord],
-    media: MediaSource,
+    media: DirectoryMediaSource,
     config: SamplingConfig,
     mllm: MllmClient,
     judge: LlmClient,
@@ -311,14 +293,35 @@ def run_batch(
     return outcome
 
 
+@contextmanager
+def atomic_path(path: str | Path):
+    """Yield a temporary sibling path that replaces ``path`` on success.
+
+    On error the temporary file is removed and ``path`` is left as it was.
+    """
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    os.close(fd)
+    try:
+        yield Path(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_results(out_dir: str | Path, outcome: BatchOutcome) -> None:
     """One JSON record per line; failures land in a separate file."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = [json.dumps(r.to_record(), sort_keys=True) for r in outcome.results]
-    (out_dir / "results.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
-    flines = [json.dumps(f, sort_keys=True) for f in outcome.failures]
-    (out_dir / "failures.jsonl").write_text("\n".join(flines) + ("\n" if flines else ""))
+    for name, records in (
+        ("results.jsonl", [r.to_record() for r in outcome.results]),
+        ("failures.jsonl", outcome.failures),
+    ):
+        text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        with atomic_path(out_dir / name) as tmp:
+            tmp.write_text(text, encoding="utf-8")
 
 
 def read_results(path: str | Path) -> list[dict]:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import requests
 from scipy import ndimage
 
+from .clients import JsonEndpoint
 from .errors import DetectorUnavailableError, InvalidParamError, ParseError
 
 
@@ -103,29 +103,21 @@ class RemoteDetector(FaceDetector):
     """Boxes fetched from an external detection service.
 
     The request carries one base64-encoded frame plus shape metadata; the
-    response is ``{"boxes": [{"x", "y", "w", "h"}, ...]}``. A single session
-    is shared across workers.
+    response is ``{"boxes": [{"x", "y", "w", "h"}, ...]}``. Transient
+    failures are retried like the inference clients' (see ``JsonEndpoint``).
     """
 
     def __init__(self, endpoint: str, timeout_s: float = 30.0):
-        self.endpoint = endpoint
-        self.timeout_s = timeout_s
-        self._session = requests.Session()
+        self.endpoint = JsonEndpoint(endpoint, timeout_s=timeout_s, error=DetectorUnavailableError)
 
     def detect(self, frame: FrameImage, frame_index: int) -> list[FaceBox]:
-        payload = {
+        body = self.endpoint.post({
             "frame_index": frame_index,
             "width": frame.width,
             "height": frame.height,
             "channels": frame.channels,
             "pixels_b64": base64.b64encode(frame.pixels).decode("ascii"),
-        }
-        try:
-            resp = self._session.post(self.endpoint, json=payload, timeout=self.timeout_s)
-            resp.raise_for_status()
-            body = resp.json()
-        except (requests.RequestException, ValueError) as exc:
-            raise DetectorUnavailableError(f"face detector at {self.endpoint}: {exc}")
+        })
         return [
             FaceBox(frame_index, int(b["x"]), int(b["y"]), int(b["w"]), int(b["h"]))
             for b in body.get("boxes", [])

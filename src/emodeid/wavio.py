@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InvalidParamError, ParseError
 from .dsp import AudioSignal
 
 PCM16 = "pcm16"
@@ -73,7 +73,7 @@ def write_wav(path: str | Path, audio: AudioSignal, encoding: str = PCM16) -> No
         tag, bits = 3, 32
         payload = audio.samples.astype("<f4").tobytes()
     else:
-        raise ValueError(f"unsupported encoding: {encoding}")
+        raise InvalidParamError(f"unsupported encoding: {encoding}")
     block = bits // 8
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",

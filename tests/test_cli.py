@@ -1,5 +1,7 @@
+import http.server
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -132,6 +134,41 @@ def test_mask_frames_unreachable_detector(tmp_path, capsys):
     ])
     assert code == EXIT_REMOTE
     assert "remote-client error" in capsys.readouterr().err
+
+
+class _DetectorFailingFromFrame1(http.server.BaseHTTPRequestHandler):
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        if body["frame_index"] >= 1:
+            self.send_response(400)
+            self.end_headers()
+            return
+        payload = json.dumps({"boxes": [{"x": 4, "y": 4, "w": 8, "h": 8}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_mask_frames_stops_at_first_failed_detection(tmp_path, capsys):
+    frames = tmp_path / "frames"
+    _write_frames(frames)
+    out = tmp_path / "out"
+    server = http.server.HTTPServer(("127.0.0.1", 0), _DetectorFailingFromFrame1)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        code = main([
+            "mask-frames", str(frames), str(out),
+            "--detector-url", f"http://127.0.0.1:{server.server_port}/d",
+        ])
+    finally:
+        server.shutdown()
+    assert code == EXIT_REMOTE
+    assert "returned 400" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["0000.ppm"]
 
 
 def _pipeline_args(ann_path, media, out_dir, fix_path, mode="all"):

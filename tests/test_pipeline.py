@@ -1,5 +1,6 @@
 import http.server
 import json
+import os
 import struct
 import threading
 
@@ -8,6 +9,7 @@ import pytest
 
 from emodeid.annotations import Emotion, NfblClip
 from emodeid.clients import (
+    JsonEndpoint,
     MockLlmClient,
     MockMllmClient,
     RemoteLlmClient,
@@ -24,6 +26,9 @@ from emodeid.errors import (
 )
 from emodeid.pipeline import (
     NO_NFBL_LINE,
+    BatchOutcome,
+    PipelineResponse,
+    PipelineResult,
     SamplingConfig,
     build_mllm_prompt,
     default_prompts,
@@ -250,11 +255,37 @@ def test_batch_survives_corrupt_media(mock_dataset, corrupt):
     assert [r.video_id for r in outcome.results] == ["v000", "v002"]
 
 
+def _outcome(video_id):
+    response = PipelineResponse("text", Emotion.POSITIVE, 7.0)
+    return BatchOutcome(results=[PipelineResult(video_id, "van", response)])
+
+
+def test_write_results_is_atomic(tmp_path, monkeypatch):
+    write_results(tmp_path, _outcome("v000"))
+    before = (tmp_path / "results.jsonl").read_bytes()
+
+    def fail_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail_replace)
+    with pytest.raises(OSError, match="disk full"):
+        write_results(tmp_path, _outcome("v001"))
+    monkeypatch.undo()
+    assert (tmp_path / "results.jsonl").read_bytes() == before
+    assert list(tmp_path.glob(".results.jsonl.*")) == []
+
+
 class _FakeInferenceHandler(http.server.BaseHTTPRequestHandler):
     fail_first = {"count": 0}
+    paths: list[str] = []
 
     def do_POST(self):
+        self.paths.append(self.path)
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        if self.path == "/missing":
+            self.send_response(404)
+            self.end_headers()
+            return
         if self.path == "/flaky" and self.fail_first["count"] < 1:
             self.fail_first["count"] += 1
             self.send_response(503)
@@ -274,6 +305,7 @@ class _FakeInferenceHandler(http.server.BaseHTTPRequestHandler):
 @pytest.fixture
 def inference_server():
     _FakeInferenceHandler.fail_first["count"] = 0
+    _FakeInferenceHandler.paths.clear()
     server = http.server.HTTPServer(("127.0.0.1", 0), _FakeInferenceHandler)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     yield f"http://127.0.0.1:{server.server_port}"
@@ -301,6 +333,26 @@ def test_remote_client_unreachable_after_retries():
     )
     with pytest.raises(ClientUnavailableError):
         client.complete("p")
+
+
+def test_remote_client_does_not_retry_4xx(inference_server):
+    client = RemoteLlmClient(
+        inference_server + "/missing", timeout_s=5.0, max_attempts=3, backoff_s=0.01
+    )
+    with pytest.raises(ClientUnavailableError, match="returned 404"):
+        client.complete("p")
+    assert _FakeInferenceHandler.paths == ["/missing"]
+
+
+def test_endpoint_keeps_one_session_per_thread():
+    endpoint = JsonEndpoint("http://127.0.0.1:1/judge")
+    mine = endpoint._session()
+    assert endpoint._session() is mine
+    theirs = []
+    worker = threading.Thread(target=lambda: theirs.append(endpoint._session()))
+    worker.start()
+    worker.join()
+    assert theirs[0] is not mine
 
 
 def test_prompt_bundle_validation():

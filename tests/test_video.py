@@ -185,8 +185,15 @@ def test_sidecar_detector_malformed(tmp_path):
 
 
 class _FakeDetectorHandler(http.server.BaseHTTPRequestHandler):
+    flaky_failures_left = [0]
+
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        if self.path == "/flaky" and self.flaky_failures_left[0]:
+            self.flaky_failures_left[0] -= 1
+            self.send_response(503)
+            self.end_headers()
+            return
         boxes = [{"x": -10, "y": 5, "w": body["width"] + 50, "h": 10}]
         payload = json.dumps({"boxes": boxes}).encode()
         self.send_response(200)
@@ -201,6 +208,7 @@ class _FakeDetectorHandler(http.server.BaseHTTPRequestHandler):
 
 @pytest.fixture
 def fake_detector_server():
+    _FakeDetectorHandler.flaky_failures_left[0] = 1
     server = http.server.HTTPServer(("127.0.0.1", 0), _FakeDetectorHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -213,6 +221,14 @@ def test_remote_detector_clips_out_of_bounds_box(fake_detector_server):
     frame = checkerboard(64, 48)
     boxes = detect_faces(frame, detector, 0)
     assert boxes == [FaceBox(0, 0, 5, 64, 10)]
+
+
+def test_remote_detector_retries_on_5xx(fake_detector_server):
+    detector = RemoteDetector(fake_detector_server.replace("/detect", "/flaky"), timeout_s=5.0)
+    detector.endpoint.backoff_s = 0.01
+    boxes = detector.detect(checkerboard(64, 48), 3)
+    assert boxes == [FaceBox(3, -10, 5, 114, 10)]
+    assert _FakeDetectorHandler.flaky_failures_left == [0]
 
 
 def test_remote_detector_unreachable():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from emodeid.dsp import AudioSignal
-from emodeid.errors import ParseError
+from emodeid.errors import InvalidParamError, ParseError
 from emodeid.wavio import FLOAT32, PCM16, read_wav, write_wav
 
 
@@ -75,3 +75,10 @@ def test_unsupported_encoding_rejected(tmp_path):
     path.write_bytes(header + payload)
     with pytest.raises(ParseError):
         read_wav(path)
+
+
+def test_write_unknown_encoding_rejected(tmp_path):
+    path = tmp_path / "u8.wav"
+    with pytest.raises(InvalidParamError, match="u8"):
+        write_wav(path, AudioSignal(np.zeros(8), 8000), "u8")
+    assert not path.exists()
