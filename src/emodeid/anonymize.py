@@ -1,4 +1,4 @@
-"""McAdams speaker anonymization: LPC pole-angle warping per frame."""
+"""McAdams speaker anonymization: LPC pole-angle warping per frame, batched over frames."""
 
 from __future__ import annotations
 
@@ -6,22 +6,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import (
-    AudioSignal,
-    FrameParams,
-    PoleSet,
-    frame_signal,
-    hann_window,
-    lpc_levinson,
-    lpc_residual,
-    overlap_add,
-    poles_to_coeffs,
-    poly_roots,
-    synthesize,
-)
-from .errors import EmptyInputError, InvalidParamError
+from .dsp import AudioSignal, FrameParams, PoleSet, frame_signal, hann_window, overlap_add
+from .errors import EmptyInputError, InvalidParamError, UnstableFilterError
 
 MAX_POLE_MAGNITUDE = 1.0 - 1e-6
+# Frames analysed per batch of array operations: large enough that numpy's
+# per-call overhead is spread thin, small enough that the (n, p, p) companion
+# stack and the other per-block arrays stay a few MB.
+BLOCK_FRAMES = 1024
 
 
 @dataclass
@@ -44,21 +36,104 @@ def warp_pole_angles(poles: PoleSet, mcadams_lambda: float, epsilon: float) -> P
 
     Real poles (angle within epsilon of 0 or pi) are left alone; warped angles
     are clamped back into (epsilon, pi - epsilon) and magnitudes capped just
-    inside the unit circle so the synthesis filter stays stable.
+    inside the unit circle so the synthesis filter stays stable. Works on a
+    pole array of any shape; a pole the warp would not change is returned
+    bit for bit.
     """
-    out = np.empty_like(poles.poles)
-    for i, p in enumerate(poles.poles):
-        theta = np.abs(np.angle(p))
-        if theta <= epsilon or theta >= np.pi - epsilon:
-            out[i] = p
-            continue
-        mag = min(abs(p), MAX_POLE_MAGNITUDE)
-        new_theta = min(max(theta**mcadams_lambda, epsilon), np.pi - epsilon)
-        if new_theta == theta and mag == abs(p):
-            out[i] = p
-        else:
-            out[i] = mag * np.exp(1j * np.sign(np.angle(p)) * new_theta)
-    return PoleSet(out)
+    p = poles.poles
+    angle = np.angle(p)
+    theta = np.abs(angle)
+    mag = np.abs(p)
+    capped = np.minimum(mag, MAX_POLE_MAGNITUDE)
+    new_theta = np.clip(theta**mcadams_lambda, epsilon, np.pi - epsilon)
+    keep = (
+        (theta <= epsilon)
+        | (theta >= np.pi - epsilon)
+        | ((new_theta == theta) & (capped == mag))
+    )
+    warped = capped * np.exp(1j * np.sign(angle) * new_theta)
+    return PoleSet(np.where(keep, p, warped))
+
+
+def _dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise inner products through the BLAS dot product that ``np.dot`` and
+    ``np.correlate`` use, so each row sums like ``lpc_levinson`` does."""
+    return np.matmul(u[:, None, :], np.ascontiguousarray(v)[:, :, None])[:, 0, 0]
+
+
+def _levinson_rows(x: np.ndarray, order: int) -> np.ndarray:
+    """``lpc_levinson`` on every row of ``x``: (n, order + 1) coefficients.
+
+    An all-zero row has zero autocorrelation past lag 0, so every reflection
+    coefficient is 0 and the row gets the identity filter, as in
+    ``lpc_levinson``. The inner products go through ``_dot_rows`` because
+    frames at the edge of a pause make the recursion ill-conditioned, and a
+    different summation order there moves the output far more than rounding.
+    """
+    win = x.shape[1]
+    r = np.stack([_dot_rows(x[:, : win - k], x[:, k:]) for k in range(order + 1)], axis=1)
+    r[:, 0] = r[:, 0] * (1.0 + 1e-9) + 1e-12
+    a = np.zeros((x.shape[0], order))
+    err = r[:, 0]
+    for i in range(1, order + 1):
+        acc = r[:, i] - _dot_rows(a[:, : i - 1], r[:, i - 1 : 0 : -1])
+        k = acc / err
+        a[:, : i - 1] = a[:, : i - 1] - k[:, None] * a[:, : i - 1][:, ::-1]
+        a[:, i - 1] = k
+        err = (1.0 - k * k) * err
+    return np.hstack([np.ones((x.shape[0], 1)), -a])
+
+
+def _fir_rows(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """``lpc_residual`` on every row: residual[n] = sum_k a_k x[n-k], zero state."""
+    out = coeffs[:, :1] * x
+    for k in range(1, coeffs.shape[1]):
+        out[:, k:] += coeffs[:, k : k + 1] * x[:, :-k]
+    return out
+
+
+def _roots_rows(coeffs: np.ndarray) -> np.ndarray:
+    """``poly_roots`` on every monic row, from one stacked eigenvalue call.
+
+    LAPACK returns the complex eigenvalues of a real matrix in exact
+    conjugate pairs, so only ``poly_roots``' snap to the real axis is needed.
+    """
+    n, p = coeffs.shape[0], coeffs.shape[1] - 1
+    companion = np.zeros((n, p, p))
+    companion[:, 0, :] = -coeffs[:, 1:]
+    companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
+    roots = np.linalg.eigvals(companion).astype(np.complex128)
+    return np.where(np.abs(roots.imag) < 1e-10, roots.real + 0j, roots)
+
+
+def _expand_rows(poles: np.ndarray) -> np.ndarray:
+    """``poles_to_coeffs`` on every row of conjugate-closed poles."""
+    coeffs = np.zeros((poles.shape[0], poles.shape[1] + 1), dtype=np.complex128)
+    coeffs[:, 0] = 1.0
+    for k in range(poles.shape[1]):
+        coeffs[:, 1 : k + 2] = coeffs[:, 1 : k + 2] - poles[:, k : k + 1] * coeffs[:, : k + 1]
+    # Conjugates warp to conjugates, so a large imaginary part means a pole
+    # set that was not closed under conjugation.
+    if np.max(np.abs(coeffs.imag)) >= 1e-8:
+        raise InvalidParamError("pole expansion left a non-negligible imaginary part")
+    return coeffs.real
+
+
+def _synthesize_rows(residual: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """``synthesize`` on every row: all-pole filtering with zero initial state.
+
+    Raises UnstableFilterError when any row's filter has a pole on or outside
+    the unit circle.
+    """
+    n, p = coeffs.shape[0], coeffs.shape[1] - 1
+    if np.max(np.abs(_roots_rows(coeffs))) >= 1.0:
+        raise UnstableFilterError("synthesis filter has poles outside the unit circle")
+    # y[:, p + t] is output sample t; the p leading zeros are the initial state.
+    y = np.zeros((n, p + residual.shape[1]))
+    taps = coeffs[:, :0:-1]
+    for t in range(residual.shape[1]):
+        y[:, p + t] = residual[:, t] - np.einsum("ij,ij->i", taps, y[:, t : p + t])
+    return y[:, p:]
 
 
 def anonymize_mcadams(audio: AudioSignal, params: AnonymizationParams) -> AudioSignal:
@@ -68,7 +143,8 @@ def anonymize_mcadams(audio: AudioSignal, params: AnonymizationParams) -> AudioS
     reconstruction, all-pole resynthesis of the residual; frames are then
     overlap-added with window-sum normalization. Output length, rate, and
     realness match the input; peak amplitude is rescaled to 0.99 only when
-    the result would clip.
+    the result would clip. Frames are processed as arrays, BLOCK_FRAMES at a
+    time, which bounds the memory of the intermediate stacks.
     """
     if audio.samples.size == 0:
         raise EmptyInputError("cannot anonymize an empty signal")
@@ -84,16 +160,17 @@ def anonymize_mcadams(audio: AudioSignal, params: AnonymizationParams) -> AudioS
     window = hann_window(params.frame.win_samples(audio.sample_rate_hz))
     order = params.frame.lpc_order
     out_frames = np.empty_like(frames)
-    for i, frame in enumerate(frames):
-        windowed = frame * window
-        coeffs, _ = lpc_levinson(windowed, order)
-        residual = lpc_residual(windowed, coeffs)
+    for start in range(0, frames.shape[0], BLOCK_FRAMES):
+        windowed = frames[start : start + BLOCK_FRAMES] * window
+        coeffs = _levinson_rows(windowed, order)
         warped = warp_pole_angles(
-            PoleSet(poly_roots(coeffs)),
+            PoleSet(_roots_rows(coeffs)),
             params.mcadams_lambda,
             params.complex_angle_epsilon,
         )
-        out_frames[i] = synthesize(residual, poles_to_coeffs(warped))
+        out_frames[start : start + BLOCK_FRAMES] = _synthesize_rows(
+            _fir_rows(windowed, coeffs), _expand_rows(warped.poles)
+        )
     out = overlap_add(
         out_frames, params.frame, audio.sample_rate_hz, padded.samples.size
     )[shift : shift + audio.samples.size]

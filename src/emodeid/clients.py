@@ -48,8 +48,9 @@ class JsonEndpoint:
     """POST JSON to one URL; every failure surfaces as ``error``.
 
     Network errors, undecodable replies and 5xx are retried with exponential
-    backoff; a 4xx is raised at once. Each thread gets its own session, as
-    ``run_batch`` calls clients from a pool.
+    backoff; a 4xx, or a 200 whose JSON is not an object, is raised at once.
+    Each thread gets its own session, as ``run_batch`` calls clients from a
+    pool.
     """
 
     def __init__(self, url, auth_token=None, timeout_s=120.0, max_attempts=3, backoff_s=1.0,
@@ -68,6 +69,7 @@ class JsonEndpoint:
         return self._local.session
 
     def post(self, payload: dict) -> dict:
+        """The reply's JSON object; a reply of any other shape raises ``error``."""
         last = None
         for attempt in range(self.max_attempts):
             if attempt:
@@ -77,7 +79,10 @@ class JsonEndpoint:
                     self.url, json=payload, timeout=self.timeout_s, headers=self.headers
                 )
                 if resp.status_code < 400:
-                    return resp.json()
+                    body = resp.json()
+                    if isinstance(body, dict):
+                        return body
+                    raise self.error(f"{self.url} returned a {type(body).__name__}, not an object")
             except (requests.RequestException, ValueError) as exc:
                 last = exc
                 continue
@@ -89,6 +94,8 @@ class JsonEndpoint:
     def post_for_text(self, payload: dict) -> str:
         """The reply's non-blank ``text`` field."""
         text = self.post(payload).get("text", "")
+        if not isinstance(text, str):
+            raise self.error(f"{self.url} returned a {type(text).__name__} text field")
         if not text.strip():
             raise ResponseEmptyError(f"{self.url} returned an empty response")
         return text

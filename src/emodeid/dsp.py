@@ -74,14 +74,6 @@ class FrameParams:
 
 
 @dataclass
-class LpcFrame:
-    """All-pole model of one windowed frame: A(z) coefficients plus excitation."""
-
-    coefficients: np.ndarray
-    residual: np.ndarray
-
-
-@dataclass
 class PoleSet:
     """Poles of an all-pole synthesis filter, closed under conjugation."""
 
@@ -171,12 +163,6 @@ def lpc_residual(frame: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     return sps.lfilter(coefficients, [1.0], np.asarray(frame, dtype=np.float64))
 
 
-def analyze_frame(frame: np.ndarray, order: int) -> LpcFrame:
-    """LPC coefficients and residual for one windowed frame."""
-    coeffs, _ = lpc_levinson(frame, order)
-    return LpcFrame(coeffs, lpc_residual(frame, coeffs))
-
-
 def poly_roots(coefficients: np.ndarray) -> np.ndarray:
     """Roots of sum_k a_k z^(p-k) via companion-matrix eigenvalues.
 
@@ -255,24 +241,28 @@ def overlap_add(
     """Sum windowed frames at their offsets and normalize by the window overlap.
 
     Expects each frame to carry one application of the analysis window; the
-    divisor is the pointwise sum of shifted windows, floored at 1e-6.
+    divisor is the pointwise sum of shifted windows, floored at 1e-6. Frame
+    i starts at sample i * shift; samples past total_length are dropped.
     """
     win = params.win_samples(sample_rate_hz)
     shift = params.shift_samples(sample_rate_hz)
     frames = np.asarray(frames, dtype=np.float64)
-    out = np.zeros(total_length, dtype=np.float64)
-    den = np.zeros(total_length, dtype=np.float64)
     if frames.size == 0:
-        return out
+        return np.zeros(total_length, dtype=np.float64)
+    n = frames.shape[0]
+    pieces = -(-win // shift)
+    rows = max(n + pieces, -(-total_length // shift))
+    # Row q of each buffer holds samples q*shift .. (q+1)*shift - 1, and piece
+    # j of frame i lands on row i + j. Adding the last piece first sums every
+    # sample's terms in frame order, like a loop over frames would.
+    out = np.zeros((rows, shift))
+    den = np.zeros((rows, shift))
     window = hann_window(win)
-    for i, frame in enumerate(frames):
-        start = i * shift
-        stop = min(start + win, total_length)
-        if stop <= start:
-            break
-        out[start:stop] += frame[: stop - start]
-        den[start:stop] += window[: stop - start]
-    return out / np.maximum(den, 1e-6)
+    for j in reversed(range(pieces)):
+        lo, hi = j * shift, min((j + 1) * shift, win)
+        out[j : j + n, : hi - lo] += frames[:, lo:hi]
+        den[j : j + n, : hi - lo] += window[lo:hi]
+    return (out.ravel() / np.maximum(den.ravel(), 1e-6))[:total_length]
 
 
 def _design_resample_filter(up: int, down: int) -> np.ndarray:

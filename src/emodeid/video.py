@@ -118,10 +118,15 @@ class RemoteDetector(FaceDetector):
             "channels": frame.channels,
             "pixels_b64": base64.b64encode(frame.pixels).decode("ascii"),
         })
-        return [
-            FaceBox(frame_index, int(b["x"]), int(b["y"]), int(b["w"]), int(b["h"]))
-            for b in body.get("boxes", [])
-        ]
+        try:
+            return [
+                FaceBox(frame_index, int(b["x"]), int(b["y"]), int(b["w"]), int(b["h"]))
+                for b in body.get("boxes", [])
+            ]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DetectorUnavailableError(
+                f"{self.endpoint.url} returned a malformed box: {exc!r}"
+            ) from exc
 
 
 def detect_faces(frame: FrameImage, detector: FaceDetector, frame_index: int = 0) -> list[FaceBox]:

@@ -3,10 +3,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ar_signal, speech_like_poles
-from emodeid.anonymize import AnonymizationParams, anonymize_mcadams, warp_pole_angles
-from emodeid.dsp import AudioSignal, FrameParams, PoleSet, lpc_levinson, poly_roots
-from emodeid.errors import EmptyInputError, InvalidParamError
+from conftest import ar_signal, speech_like_poles, speech_with_pauses
+from emodeid.anonymize import (
+    BLOCK_FRAMES,
+    AnonymizationParams,
+    _synthesize_rows,
+    anonymize_mcadams,
+    warp_pole_angles,
+)
+from emodeid.dsp import (
+    AudioSignal,
+    FrameParams,
+    PoleSet,
+    frame_signal,
+    hann_window,
+    lpc_levinson,
+    lpc_residual,
+    overlap_add,
+    poles_to_coeffs,
+    poly_roots,
+    synthesize,
+)
+from emodeid.errors import EmptyInputError, InvalidParamError, UnstableFilterError
+
+RATE = 16000
+# The batched anonymizer sums in another order than this per-frame loop. The
+# loop itself moves by up to ~5e-10 (relative L2) when its input moves by
+# 1e-16..1e-15 relative, because frames at the edge of a pause give
+# ill-conditioned LPC fits; 1e-8 leaves room for that and nothing more.
+ORACLE_REL_L2 = 1e-8
 
 
 def rel_l2(a, b):
@@ -158,3 +183,62 @@ def test_any_lambda_preserves_length(seed, lam):
         AnonymizationParams(frame=FrameParams(20.0, 10.0, 12), mcadams_lambda=lam),
     )
     assert out.samples.size == n
+
+
+def per_frame_anonymize(x, params):
+    """Reference McAdams loop, one frame at a time, from the per-frame dsp functions."""
+    shift = params.frame.shift_samples(RATE)
+    padded = AudioSignal(np.pad(x, (shift, shift)), RATE)
+    frames = frame_signal(padded, params.frame) * hann_window(params.frame.win_samples(RATE))
+    out = np.empty_like(frames)
+    for i, frame in enumerate(frames):
+        coeffs, _ = lpc_levinson(frame, params.frame.lpc_order)
+        warped = warp_pole_angles(
+            PoleSet(poly_roots(coeffs)), params.mcadams_lambda, params.complex_angle_epsilon
+        )
+        out[i] = synthesize(lpc_residual(frame, coeffs), poles_to_coeffs(warped))
+    y = overlap_add(out, params.frame, RATE, padded.samples.size)[shift : shift + x.size]
+    peak = np.max(np.abs(y))
+    return y * (0.99 / peak) if peak > 1.0 else y
+
+
+@pytest.mark.parametrize("lam", [0.7, 0.8, 1.0, 1.3])
+def test_matches_per_frame_oracle_on_speech_with_pauses(lam):
+    x = speech_with_pauses(np.random.default_rng(40), 2 * RATE)
+    assert np.sum(x == 0.0) > 0.15 * x.size
+    params = AnonymizationParams(mcadams_lambda=lam)
+    out = anonymize_mcadams(AudioSignal(x, RATE), params)
+    assert rel_l2(out.samples, per_frame_anonymize(x, params)) <= ORACLE_REL_L2
+
+
+def test_matches_per_frame_oracle_on_noise():
+    x = np.random.default_rng(41).uniform(-0.5, 0.5, 2 * RATE)
+    params = AnonymizationParams()
+    out = anonymize_mcadams(AudioSignal(x, RATE), params)
+    assert rel_l2(out.samples, per_frame_anonymize(x, params)) <= ORACLE_REL_L2
+
+
+def test_matches_per_frame_oracle_across_blocks():
+    shift = FrameParams().shift_samples(RATE)
+    x = speech_with_pauses(np.random.default_rng(42), (BLOCK_FRAMES + 150) * shift)
+    params = AnonymizationParams()
+    out = anonymize_mcadams(AudioSignal(x, RATE), params)
+    assert rel_l2(out.samples, per_frame_anonymize(x, params)) <= ORACLE_REL_L2
+
+
+def test_all_zero_signal_stays_zero():
+    x = np.zeros(5000)
+    params = AnonymizationParams()
+    out = anonymize_mcadams(AudioSignal(x, RATE), params)
+    np.testing.assert_array_equal(out.samples, per_frame_anonymize(x, params))
+    np.testing.assert_array_equal(out.samples, x)
+
+
+def test_batched_synthesis_rejects_one_unstable_row():
+    stable = np.poly([0.5, -0.3]).real
+    coeffs = np.array([stable, [1.0, -2.5, 1.0], stable])
+    residual = np.ones((3, 16))
+    rows = _synthesize_rows(residual[[0, 2]], coeffs[[0, 2]])
+    np.testing.assert_allclose(rows[0], synthesize(residual[0], stable), rtol=1e-12)
+    with pytest.raises(UnstableFilterError):
+        _synthesize_rows(residual, coeffs)

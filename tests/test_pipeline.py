@@ -278,6 +278,8 @@ def test_write_results_is_atomic(tmp_path, monkeypatch):
 class _FakeInferenceHandler(http.server.BaseHTTPRequestHandler):
     fail_first = {"count": 0}
     paths: list[str] = []
+    # 200 replies whose JSON has the wrong shape, by request path.
+    malformed = {"/list": ["not", "an", "object"], "/numeric-text": {"text": 5}}
 
     def do_POST(self):
         self.paths.append(self.path)
@@ -286,13 +288,18 @@ class _FakeInferenceHandler(http.server.BaseHTTPRequestHandler):
             self.send_response(404)
             self.end_headers()
             return
+        if self.path in self.malformed:
+            self._reply(self.malformed[self.path])
+            return
         if self.path == "/flaky" and self.fail_first["count"] < 1:
             self.fail_first["count"] += 1
             self.send_response(503)
             self.end_headers()
             return
-        text = "served: " + ("mllm" if "frames" in body else "judge")
-        payload = json.dumps({"text": text}).encode()
+        self._reply({"text": "served: " + ("mllm" if "frames" in body else "judge")})
+
+    def _reply(self, obj):
+        payload = json.dumps(obj).encode()
         self.send_response(200)
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
@@ -342,6 +349,27 @@ def test_remote_client_does_not_retry_4xx(inference_server):
     with pytest.raises(ClientUnavailableError, match="returned 404"):
         client.complete("p")
     assert _FakeInferenceHandler.paths == ["/missing"]
+
+
+@pytest.mark.parametrize("path", ["/list", "/numeric-text"])
+def test_remote_client_rejects_malformed_reply(inference_server, path):
+    client = RemoteLlmClient(inference_server + path, timeout_s=5.0, backoff_s=0.01)
+    with pytest.raises(ClientUnavailableError, match="returned a (list|int)"):
+        client.complete("p")
+    assert _FakeInferenceHandler.paths == [path]
+
+
+def test_batch_records_malformed_reply_per_video(mock_dataset, inference_server):
+    records, media, fixtures, _, _ = mock_dataset
+    outcome = run_batch(
+        records, media, SamplingConfig(frame_count=4),
+        RemoteMllmClient(inference_server + "/list", timeout_s=5.0),
+        MockLlmClient(fixtures["judge"]),
+        mode="v", workers=2,
+    )
+    assert outcome.results == []
+    assert sorted(f["video_id"] for f in outcome.failures) == ["v000", "v001", "v002"]
+    assert all("not an object" in f["error"] for f in outcome.failures)
 
 
 def test_endpoint_keeps_one_session_per_thread():

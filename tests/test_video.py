@@ -195,6 +195,8 @@ class _FakeDetectorHandler(http.server.BaseHTTPRequestHandler):
             self.end_headers()
             return
         boxes = [{"x": -10, "y": 5, "w": body["width"] + 50, "h": 10}]
+        if self.path == "/no-y":
+            del boxes[0]["y"]
         payload = json.dumps({"boxes": boxes}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -229,6 +231,12 @@ def test_remote_detector_retries_on_5xx(fake_detector_server):
     boxes = detector.detect(checkerboard(64, 48), 3)
     assert boxes == [FaceBox(3, -10, 5, 114, 10)]
     assert _FakeDetectorHandler.flaky_failures_left == [0]
+
+
+def test_remote_detector_rejects_box_without_y(fake_detector_server):
+    detector = RemoteDetector(fake_detector_server.replace("/detect", "/no-y"), timeout_s=5.0)
+    with pytest.raises(DetectorUnavailableError, match="malformed box"):
+        detector.detect(checkerboard(64, 48), 0)
 
 
 def test_remote_detector_unreachable():
