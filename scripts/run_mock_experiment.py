@@ -58,16 +58,17 @@ def main(workdir, videos, mcadams_lambda, seed):
         click.echo(f"masking smoke ({vid}): {changed} pixels changed inside a 4x4 box\n")
 
         out_dir = root / "run"
-        code = cli_main([
-            "run-pipeline", str(ann_path), str(media.root), str(out_dir),
-            "--mode", "all", "--mock-fixtures", str(fix_path), "--frame-count", "4",
-        ])
-        if code != 0:
-            raise SystemExit(code)
-        click.echo("")
-        cli_main(["evaluate", str(out_dir), str(ann_path)])
+        for argv in (
+            ["run-pipeline", str(ann_path), str(media.root), str(out_dir),
+             "--mode", "all", "--mock-fixtures", str(fix_path), "--frame-count", "4"],
+            ["evaluate", str(out_dir), str(ann_path)],
+        ):
+            code = cli_main(argv)
+            if code != 0:
+                raise SystemExit(code)
+            click.echo("")
         if keep:
-            click.echo(f"\noutputs kept in {root}")
+            click.echo(f"outputs kept in {root}")
     finally:
         if not keep:
             shutil.rmtree(root, ignore_errors=True)

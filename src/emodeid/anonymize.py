@@ -149,6 +149,8 @@ def anonymize_mcadams(audio: AudioSignal, params: AnonymizationParams) -> AudioS
     if audio.samples.size == 0:
         raise EmptyInputError("cannot anonymize an empty signal")
     params.frame.validate_for_rate(audio.sample_rate_hz)
+    if params.frame.win_samples(audio.sample_rate_hz) > audio.samples.size:
+        raise InvalidParamError("the analysis window is longer than the signal")
     shift = params.frame.shift_samples(audio.sample_rate_hz)
     # One shift of zero padding on each side keeps every real sample in the
     # constant region of the window-overlap sum (the window is zero at its

@@ -45,40 +45,40 @@ EXIT_REMOTE = 3
 EXIT_VALIDATION = 4
 
 
-def _load_config_file(path):
+def _load_config(ctx, param, path):
+    """Make a --config JSON object click's ``default_map``.
+
+    Click then gives flags and EMODEID_* variables precedence over the file.
+    Each value is handed over as the text a flag would carry, so it is
+    converted and checked like one: 4.7 is not a valid --frame-count. A null
+    leaves the option at its default, so a run's config.json reads back.
+    """
     if path is None:
-        return {}
+        return
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad config file: {exc.msg}", context=str(path))
+        doc = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ParseError(f"bad config file: {exc}", context=str(path))
+    scalars = (str, int, float, type(None))
+    if not (isinstance(doc, dict) and all(isinstance(v, scalars) for v in doc.values())):
+        raise ParseError("config must be a JSON object of strings, numbers and nulls",
+                         context=str(path))
+    ctx.default_map = {key: str(value) for key, value in doc.items() if value is not None}
 
 
-def _resolve(ctx, config, **defaults):
-    """Fill in options the user did not set from config file, then defaults."""
-    out = {}
-    for name, default in defaults.items():
-        value = ctx.params.get(name)
-        source = ctx.get_parameter_source(name)
-        if value is not None and source is not None and source.name in (
-            "COMMANDLINE",
-            "ENVIRONMENT",
-        ):
-            out[name] = value
-        elif name in config:
-            out[name] = config[name]
-        elif value is not None:
-            out[name] = value
-        else:
-            out[name] = default
-    return out
+_config_option = click.option(
+    "--config", type=click.Path(exists=True, dir_okay=False, path_type=Path),
+    callback=_load_config, is_eager=True, expose_value=False,
+    help="JSON object of option values keyed by option name (lpc_order for --lpc-order); "
+         "flags and EMODEID_* variables override it.",
+)
 
 
 def _echo_config(name, cfg):
     click.echo(f"config {name}: " + json.dumps(cfg, sort_keys=True))
 
 
-@click.group()
+@click.group(context_settings={"show_default": True})
 def cli():
     """Privacy-preserving multimodal emotion analysis toolkit."""
 
@@ -86,22 +86,14 @@ def cli():
 @cli.command("anonymize-audio")
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.argument("output_path", type=click.Path(dir_okay=False, path_type=Path))
-@click.option("--mcadams-lambda", "--lambda", "mcadams_lambda", type=float, default=None)
-@click.option("--win-ms", type=float, default=None)
-@click.option("--shift-ms", type=float, default=None)
-@click.option("--lpc-order", type=int, default=None)
-@click.option("--config", "config_path", type=click.Path(exists=True, path_type=Path), default=None)
-@click.pass_context
-def cmd_anonymize_audio(ctx, input_path, output_path, mcadams_lambda, win_ms, shift_ms, lpc_order, config_path):
+@click.option("--mcadams-lambda", "--lambda", "mcadams_lambda", type=float,
+              default=AnonymizationParams.mcadams_lambda)
+@click.option("--win-ms", type=float, default=FrameParams.win_ms)
+@click.option("--shift-ms", type=float, default=FrameParams.shift_ms)
+@click.option("--lpc-order", type=int, default=FrameParams.lpc_order)
+@_config_option
+def cmd_anonymize_audio(input_path, output_path, **cfg):
     """Speaker-anonymize a waveform file via pole-angle warping."""
-    cfg = _resolve(
-        ctx,
-        _load_config_file(config_path),
-        mcadams_lambda=0.8,
-        win_ms=20.0,
-        shift_ms=10.0,
-        lpc_order=20,
-    )
     _echo_config("anonymize-audio", cfg)
     audio, encoding = read_wav(input_path)
     params = AnonymizationParams(
@@ -120,7 +112,7 @@ def cmd_anonymize_audio(ctx, input_path, output_path, mcadams_lambda, win_ms, sh
 @click.option("--boxes", "boxes_path", type=click.Path(exists=True, path_type=Path), default=None)
 @click.option("--detector-url", default=None)
 @click.option("--sigma", type=float, default=None, help="Fixed blur sigma for every box.")
-@click.option("--sigma-scale", type=float, default=0.25, show_default=True,
+@click.option("--sigma-scale", type=float, default=0.25,
               help="Box-proportional sigma: scale * max(w, h).")
 def cmd_mask_frames(frames_dir, output_dir, boxes_path, detector_url, sigma, sigma_scale):
     """Blur face regions in a directory of PPM frames (sorted, index order)."""
@@ -166,39 +158,21 @@ def _build_clients(mock_fixtures, mllm_endpoint, judge_endpoint, auth_token, tim
 @click.argument("annotations_path", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.argument("media_root", type=click.Path(exists=True, file_okay=False, path_type=Path))
 @click.argument("output_dir", type=click.Path(file_okay=False, path_type=Path))
-@click.option("--mode", type=click.Choice(list(MODES) + ["all"]), default="van", show_default=True)
+@click.option("--mode", type=click.Choice(list(MODES) + ["all"]), default="van")
 @click.option("--mock-fixtures", type=click.Path(exists=True, path_type=Path), default=None)
 @click.option("--mllm-endpoint", default=None)
 @click.option("--judge-endpoint", default=None)
 @click.option("--auth-token", default=None)
-@click.option("--timeout-s", type=float, default=None)
-@click.option("--max-attempts", type=int, default=None)
-@click.option("--frame-count", type=int, default=None)
-@click.option("--audio-segment-s", type=float, default=None)
-@click.option("--mel-bins", type=int, default=None)
+@click.option("--timeout-s", type=float, default=120.0)
+@click.option("--max-attempts", type=int, default=3)
+@click.option("--frame-count", type=int, default=SamplingConfig.frame_count)
+@click.option("--audio-segment-s", type=float, default=SamplingConfig.audio_segment_s)
+@click.option("--mel-bins", type=int, default=SamplingConfig.mel_bins)
 @click.option("--max-segments", type=int, default=None)
-@click.option("--workers", type=int, default=None)
-@click.option("--config", "config_path", type=click.Path(exists=True, path_type=Path), default=None)
-@click.pass_context
-def cmd_run_pipeline(ctx, annotations_path, media_root, output_dir, mode, mock_fixtures,
-                     mllm_endpoint, judge_endpoint, auth_token, timeout_s, max_attempts,
-                     frame_count, audio_segment_s, mel_bins, max_segments, workers, config_path):
+@click.option("--workers", type=int, default=lambda: os.cpu_count() or 4)
+@_config_option
+def cmd_run_pipeline(annotations_path, media_root, output_dir, mock_fixtures, auth_token, **cfg):
     """Run the two-stage inference over every annotated video."""
-    cfg = _resolve(
-        ctx,
-        _load_config_file(config_path),
-        mode=mode,
-        mllm_endpoint=None,
-        judge_endpoint=None,
-        auth_token=None,
-        timeout_s=120.0,
-        max_attempts=3,
-        frame_count=32,
-        audio_segment_s=2.0,
-        mel_bins=128,
-        max_segments=None,
-        workers=os.cpu_count() or 4,
-    )
     records = ann.load_annotations(annotations_path)
     media = DirectoryMediaSource(media_root)
     sampling = SamplingConfig(
@@ -207,6 +181,7 @@ def cmd_run_pipeline(ctx, annotations_path, media_root, output_dir, mode, mock_f
         mel_bins=cfg["mel_bins"],
         max_segments=cfg["max_segments"],
     )
+    # The token is a secret, so it is neither echoed nor written.
     echo_cfg = dict(cfg, mock_fixtures=str(mock_fixtures) if mock_fixtures else None)
     _echo_config("run-pipeline", echo_cfg)
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -219,7 +194,7 @@ def cmd_run_pipeline(ctx, annotations_path, media_root, output_dir, mode, mock_f
     for m in modes:
         mllm, judge = _build_clients(
             mock_fixtures, cfg["mllm_endpoint"], cfg["judge_endpoint"],
-            cfg["auth_token"], cfg["timeout_s"], cfg["max_attempts"],
+            auth_token, cfg["timeout_s"], cfg["max_attempts"],
         )
         outcome = run_batch(records, media, sampling, mllm, judge, mode=m,
                             workers=cfg["workers"])

@@ -53,8 +53,8 @@ class FrameParams:
     lpc_order: int = 20
 
     def __post_init__(self):
-        if self.win_ms <= 0 or self.shift_ms <= 0:
-            raise InvalidParamError("win_ms and shift_ms must be positive")
+        if not (0 < self.win_ms < math.inf and 0 < self.shift_ms < math.inf):
+            raise InvalidParamError("win_ms and shift_ms must be positive and finite")
         if self.shift_ms > self.win_ms:
             raise InvalidParamError("shift_ms must not exceed win_ms")
         if self.lpc_order < 1:
@@ -67,6 +67,8 @@ class FrameParams:
         return int(round(self.shift_ms * sample_rate_hz / 1000.0))
 
     def validate_for_rate(self, sample_rate_hz: int) -> None:
+        if self.shift_samples(sample_rate_hz) < 1:
+            raise InvalidParamError("shift_ms must be at least one sample")
         if self.lpc_order >= self.win_samples(sample_rate_hz):
             raise InvalidParamError(
                 "lpc_order must be strictly less than the frame length in samples"

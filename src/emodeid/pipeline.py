@@ -61,8 +61,8 @@ class SamplingConfig:
     def __post_init__(self):
         if self.frame_count < 1:
             raise InvalidParamError("frame_count must be at least 1")
-        if self.audio_segment_s <= 0:
-            raise InvalidParamError("audio_segment_s must be positive")
+        if not 0 < self.audio_segment_s < math.inf:
+            raise InvalidParamError("audio_segment_s must be positive and finite")
 
 
 def default_prompts() -> "PromptBundle":
@@ -205,22 +205,14 @@ class DirectoryMediaSource:
         return audio
 
 
-def run_pipeline(
+def build_mllm_request(
     record: VideoRecord,
     media: DirectoryMediaSource,
     config: SamplingConfig,
-    mllm: MllmClient,
-    judge: LlmClient,
-    mode: str = "van",
-    prompts: PromptBundle | None = None,
-) -> PipelineResult:
-    """End-to-end inference for one video in the selected ablation mode."""
-    if mode not in MODES:
-        raise InvalidParamError(f"mode must be one of {MODES}")
-    if prompts is None:
-        prompts = default_prompts()
-    started = time.monotonic()
-
+    mode: str,
+    prompts: PromptBundle,
+) -> tuple[str, list[np.ndarray], list[np.ndarray]]:
+    """The prompt, sampled frames and mel spectrograms sent for one video."""
     total = media.frame_count(record.video_id)
     if total < 1:
         raise EmptyInputError(f"no frames for video {record.video_id}")
@@ -237,8 +229,26 @@ def run_pipeline(
         ]
 
     clips = record.clips if mode == "van" else []
-    prompt = build_mllm_prompt(clips, template=prompts.mllm_template)
-    text = mllm.generate(prompt, frames, spectrograms)
+    return build_mllm_prompt(clips, template=prompts.mllm_template), frames, spectrograms
+
+
+def run_pipeline(
+    record: VideoRecord,
+    media: DirectoryMediaSource,
+    config: SamplingConfig,
+    mllm: MllmClient,
+    judge: LlmClient,
+    mode: str = "van",
+    prompts: PromptBundle | None = None,
+) -> PipelineResult:
+    """End-to-end inference for one video in the selected ablation mode."""
+    if mode not in MODES:
+        raise InvalidParamError(f"mode must be one of {MODES}")
+    if prompts is None:
+        prompts = default_prompts()
+    started = time.monotonic()
+
+    text = mllm.generate(*build_mllm_request(record, media, config, mode, prompts))
     emotion, confidence, clamped = judge_emotion(judge, text, prompts.judge_template)
 
     deterministic = mllm.deterministic and judge.deterministic

@@ -15,14 +15,13 @@ import numpy as np
 
 from .annotations import Emotion, NfblClip, VideoRecord, serialize_annotations
 from .clients import MockLlmClient, mllm_request_payload, request_digest
-from .dsp import AudioSignal, mel_spectrogram
+from .dsp import AudioSignal
 from .pipeline import (
+    MODES,
     DirectoryMediaSource,
     SamplingConfig,
-    build_mllm_prompt,
+    build_mllm_request,
     default_prompts,
-    sample_frames_uniform,
-    segment_audio,
 )
 from .video import FrameImage, write_ppm
 from .wavio import write_wav
@@ -64,20 +63,14 @@ def make_mock_dataset(
 
     media = DirectoryMediaSource(media_root)
     for rec in records:
-        for mode in ("v", "va", "van"):
-            idx = sample_frames_uniform(media.frame_count(rec.video_id), sampling.frame_count)
-            frames = [media.load_frame(rec.video_id, i).to_array() for i in idx]
-            specs = []
-            if mode != "v":
-                segments = segment_audio(
-                    media.load_audio(rec.video_id), sampling.audio_segment_s
-                )
-                specs = [mel_spectrogram(s, bins=sampling.mel_bins).values for s in segments]
-            prompt = build_mllm_prompt(
-                rec.clips if mode == "van" else [], template=prompts.mllm_template
+        for mode in MODES:
+            request = build_mllm_request(rec, media, sampling, mode, prompts)
+            key = request_digest(mllm_request_payload(*request))
+            # A video without clips (v001) makes the same request in va and
+            # van; one request has one reply, so the first mode's text stays.
+            text = mllm_fix.setdefault(
+                key, f"Descriptive response for {rec.video_id} in mode {mode}."
             )
-            text = f"Descriptive response for {rec.video_id} in mode {mode}."
-            mllm_fix[request_digest(mllm_request_payload(prompt, frames, specs))] = text
             judge_prompt = prompts.judge_template.format(response=text)
             judge_fix[MockLlmClient.prompt_digest(judge_prompt)] = (
                 f"EMOTION: {rec.emotion.value}\nCONFIDENCE: 7.5"

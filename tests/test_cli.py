@@ -1,10 +1,14 @@
 import http.server
 import json
 import os
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from emodeid.cli import EXIT_IO, EXIT_REMOTE, EXIT_USAGE, EXIT_VALIDATION, main
 from emodeid.clients import MockLlmClient, MockMllmClient
@@ -45,20 +49,59 @@ def test_anonymize_audio_lambda_one_identity(wav_file, tmp_path):
     assert err < 1e-3
 
 
-def test_anonymize_audio_precedence(wav_file, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    ("flags", "expected"),
+    [(["--lambda", "0.7"], "0.7"), ([], "0.6")],
+    ids=["flag-over-env", "env-over-config"],
+)
+def test_anonymize_audio_precedence(wav_file, tmp_path, capsys, monkeypatch, flags, expected):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mcadams_lambda": 0.5, "lpc_order": 12}))
     monkeypatch.setenv("EMODEID_ANONYMIZE_AUDIO_MCADAMS_LAMBDA", "0.6")
     out = tmp_path / "out.wav"
     code = main([
-        "anonymize-audio", "--config", str(cfg), "--lambda", "0.7",
+        "anonymize-audio", "--config", str(cfg), *flags,
         str(wav_file), str(out),
     ])
     assert code == 0
     echoed = capsys.readouterr().out
     # flag beats env beats config file; untouched keys fall back to the file
-    assert '"mcadams_lambda": 0.7' in echoed
+    assert f'"mcadams_lambda": {expected}' in echoed
     assert '"lpc_order": 12' in echoed
+
+
+_ANONYMIZE_KEYS = st.sampled_from(["mcadams_lambda", "win_ms", "shift_ms", "lpc_order"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+# The WAV is 0.1 s at 2 kHz, so even the most expensive accepted config (a
+# one-sample shift and an LPC order just under the 200-sample signal) is
+# small work.
+@settings(max_examples=60, deadline=None)
+@given(doc=_JSON | st.dictionaries(_ANONYMIZE_KEYS | st.text(max_size=8), _JSON, max_size=4))
+@example(doc={"frame_count": "4"})
+@example(doc={"workers": "2"})
+@example(doc={"frame_count": 4.7})
+@example(doc=["frame_count"])
+@example(doc={"mode": "bogus"})
+@example(doc={"lpc_order": 4.7})
+@example(doc={"win_ms": "nan"})
+@example(doc={"win_ms": 1e12, "shift_ms": 1e12})
+@example(doc={"shift_ms": 0.1})
+@example(doc={"mcadams_lambda": "0.9", "lpc_order": 8})
+def test_anonymize_audio_any_config_maps_to_an_exit_code(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        wav, cfg = Path(tmp, "in.wav"), Path(tmp, "cfg.json")
+        rng = np.random.default_rng(0)
+        write_wav(wav, AudioSignal(rng.standard_normal(200) * 0.1, 2000), PCM16)
+        cfg.write_text(json.dumps(doc))
+        code = main(["anonymize-audio", "--config", str(cfg), str(wav), str(Path(tmp, "out.wav"))])
+    assert code in (0, EXIT_USAGE, EXIT_VALIDATION)
 
 
 def test_anonymize_audio_corrupt_input(tmp_path, capsys):
@@ -204,6 +247,58 @@ def test_run_pipeline_rerun_byte_identical(tmp_path):
     assert (out_a / "van" / "results.jsonl").read_bytes() == (
         out_b / "van" / "results.jsonl"
     ).read_bytes()
+
+
+def test_run_pipeline_never_reveals_the_token(tmp_path, capsys):
+    _, media, _, ann_path, fix_path = make_mock_dataset(tmp_path / "data")
+    out_dir = tmp_path / "run"
+    args = _pipeline_args(ann_path, media, out_dir, fix_path, mode="v")
+    assert main(args + ["--auth-token", "S3cr3t-t0ken"]) == 0
+    captured = capsys.readouterr()
+    assert "S3cr3t-t0ken" not in captured.out + captured.err
+    config = json.loads((out_dir / "config.json").read_text())
+    assert config["mode"] == "v"
+    assert "auth_token" not in config
+    assert "S3cr3t-t0ken" not in (out_dir / "config.json").read_text()
+    # config.json reads back as --config and reproduces the run
+    again = tmp_path / "again"
+    code = main([
+        "run-pipeline", str(ann_path), str(media.root), str(again),
+        "--config", str(out_dir / "config.json"),
+    ])
+    assert code == 0
+    assert json.loads((again / "config.json").read_text()) == config
+    assert (again / "v" / "results.jsonl").read_bytes() == (
+        out_dir / "v" / "results.jsonl"
+    ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    ("doc", "expected"),
+    [
+        ({"frame_count": "4"}, 0),
+        ({"frame_count": 4.7}, EXIT_USAGE),
+        ({"mode": "bogus"}, EXIT_USAGE),
+        ({"audio_segment_s": "nan"}, EXIT_VALIDATION),
+        ({"workers": [2]}, EXIT_VALIDATION),
+        (["frame_count"], EXIT_VALIDATION),
+    ],
+)
+def test_run_pipeline_config_values_are_checked(tmp_path, doc, expected):
+    _, media, _, ann_path, fix_path = make_mock_dataset(tmp_path / "data")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out_dir = tmp_path / "run"
+    code = main([
+        "run-pipeline", str(ann_path), str(media.root), str(out_dir),
+        "--mock-fixtures", str(fix_path), "--config", str(cfg),
+    ])
+    assert code == expected
+    if code == 0:
+        assert json.loads((out_dir / "config.json").read_text())["frame_count"] == 4
+        assert (out_dir / "van" / "failures.jsonl").read_text() == ""
+    else:
+        assert not out_dir.exists()
 
 
 def test_run_pipeline_missing_fixture_is_failure(tmp_path):

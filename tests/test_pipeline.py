@@ -42,6 +42,8 @@ from emodeid.pipeline import (
     write_results,
 )
 
+from conftest import make_mock_dataset
+
 
 def test_sample_frames_long_video():
     indices = sample_frames_uniform(13478, 32)
@@ -221,6 +223,31 @@ def test_batch_records_failures_and_continues(mock_dataset, tmp_path):
     assert [r["video_id"] for r in back] == ["v001", "v002"]
     lines = (tmp_path / "out" / "failures.jsonl").read_text().splitlines()
     assert [json.loads(line) for line in lines] == [failure]
+
+
+def test_mock_dataset_keeps_first_reply_of_a_shared_request(mock_dataset):
+    # v001 has no NFBL clips, so its va and van requests are one request
+    records, media, fixtures, _, _ = mock_dataset
+    config = SamplingConfig(frame_count=4)
+    judge = MockLlmClient(fixtures["judge"])
+    texts = {
+        mode: run_pipeline(
+            records[1], media, config, MockMllmClient(fixtures["mllm"]), judge, mode
+        ).response.mllm_text
+        for mode in ("va", "van")
+    }
+    assert texts["va"] == texts["van"] == "Descriptive response for v001 in mode va."
+
+
+def test_mock_dataset_honours_max_segments(tmp_path):
+    config = SamplingConfig(frame_count=4, max_segments=1)
+    records, media, fixtures, _, _ = make_mock_dataset(tmp_path, sampling=config)
+    outcome = run_batch(
+        records, media, config, MockMllmClient(fixtures["mllm"]),
+        MockLlmClient(fixtures["judge"]), mode="va", workers=1,
+    )
+    assert outcome.failures == []
+    assert [r.response.emotion for r in outcome.results] == [r.emotion for r in records]
 
 
 def _corrupt_frame_header(media, video_id):
