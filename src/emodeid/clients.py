@@ -2,8 +2,8 @@
 
 Remote payloads carry frames and spectrograms as base64-encoded arrays with
 shape metadata. Mock clients replay transcripts from a fixture file keyed by
-the SHA-256 digest of the canonical request payload, which makes end-to-end
-runs fully deterministic and offline-testable.
+a SHA-256 digest of the request (see ``mllm_request_digest``), which makes
+end-to-end runs fully deterministic and offline-testable.
 """
 
 from __future__ import annotations
@@ -39,9 +39,38 @@ def mllm_request_payload(prompt: str, frames, spectrograms) -> dict:
     }
 
 
+DIGEST_SCHEME = "v2"
+
+
+def mllm_request_digest(prompt: str, frames, spectrograms) -> str:
+    """SHA-256 over the scheme tag, the prompt, the array counts, and each
+    array's shape, dtype and C-order bytes; the arrays are never copied
+    into an encoded payload."""
+    h = hashlib.sha256(f"emodeid-mllm-request {DIGEST_SCHEME}\n".encode("ascii"))
+    text = prompt.encode("utf-8")
+    h.update(b"%d\n" % len(text))
+    h.update(text)
+    h.update(b"%d %d\n" % (len(frames), len(spectrograms)))
+    for arr in (*frames, *spectrograms):
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{arr.shape} {arr.dtype.str}\n".encode("ascii"))
+        h.update(arr)
+    return h.hexdigest()
+
+
+def _decode_array(enc: dict) -> np.ndarray:
+    data = base64.b64decode(enc["data_b64"])
+    return np.frombuffer(data, dtype=np.dtype(enc["dtype"])).reshape(enc["shape"])
+
+
 def request_digest(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    """The digest of an ``mllm_request_payload``: the same key as
+    ``mllm_request_digest`` on the arrays it encodes."""
+    return mllm_request_digest(
+        payload["prompt"],
+        [_decode_array(f) for f in payload["frames"]],
+        [_decode_array(s) for s in payload["spectrograms"]],
+    )
 
 
 class JsonEndpoint:
@@ -146,9 +175,9 @@ class FixtureReplay:
         self.fixtures = dict(fixtures)
         self.calls: list = []
 
-    def _replay(self, digest: str, what: str) -> str:
+    def _replay(self, digest: str, what: str, hint: str = "") -> str:
         if digest not in self.fixtures:
-            raise ClientUnavailableError(f"no fixture {what} {digest}")
+            raise ClientUnavailableError(f"no fixture {what} {digest}{hint}")
         return self.fixtures[digest]
 
 
@@ -156,11 +185,14 @@ class MockMllmClient(FixtureReplay, MllmClient):
     """Replays transcripts keyed by the request digest; records every call."""
 
     def generate(self, prompt: str, frames, spectrograms) -> str:
-        digest = request_digest(mllm_request_payload(prompt, frames, spectrograms))
+        digest = mllm_request_digest(prompt, frames, spectrograms)
         self.calls.append(
             {"digest": digest, "n_frames": len(frames), "n_spectrograms": len(spectrograms)}
         )
-        return self._replay(digest, "transcript for request")
+        return self._replay(
+            digest, "transcript for request",
+            f" (digest scheme {DIGEST_SCHEME}; regenerate fixture files written before it)",
+        )
 
 
 class MockLlmClient(FixtureReplay, LlmClient):

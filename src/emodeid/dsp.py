@@ -6,6 +6,7 @@ from concurrent workers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -311,8 +312,12 @@ def mel_filter_centers(bins: int, sample_rate_hz: int) -> np.ndarray:
     return edges[1:-1]
 
 
+@functools.lru_cache(maxsize=16)
 def mel_filterbank(bins: int, nfft: int, sample_rate_hz: int) -> np.ndarray:
-    """Triangular mel filterbank of shape (bins, nfft//2 + 1)."""
+    """Triangular mel filterbank of shape (bins, nfft//2 + 1).
+
+    Built once per argument triple; the cached array is read-only.
+    """
     if bins < 1:
         raise InvalidParamError("mel bin count must be at least 1")
     edges = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate_hz / 2.0), bins + 2))
@@ -323,6 +328,7 @@ def mel_filterbank(bins: int, nfft: int, sample_rate_hz: int) -> np.ndarray:
         rising = (fft_freqs - left) / max(center - left, 1e-12)
         falling = (right - fft_freqs) / max(right - center, 1e-12)
         fb[j] = np.maximum(0.0, np.minimum(rising, falling))
+    fb.flags.writeable = False
     return fb
 
 

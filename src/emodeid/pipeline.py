@@ -186,13 +186,24 @@ def judge_emotion(
 
 
 class DirectoryMediaSource:
-    """De-identified media: <root>/<video_id>/frames/*.ppm (sorted) and audio.wav."""
+    """De-identified media: <root>/<video_id>/frames/*.ppm (sorted) and audio.wav.
+
+    Each video's frame directory is listed once, on first use, and the
+    listing is kept for the lifetime of the source.
+    """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        self._listings: dict[str, list[Path]] = {}
 
     def _frame_paths(self, video_id: str) -> list[Path]:
-        return sorted((self.root / video_id / "frames").glob("*.ppm"))
+        paths = self._listings.get(video_id)
+        if paths is None:
+            # Threads listing one video at once all keep the first listing.
+            paths = self._listings.setdefault(
+                video_id, sorted((self.root / video_id / "frames").glob("*.ppm"))
+            )
+        return paths
 
     def frame_count(self, video_id: str) -> int:
         return len(self._frame_paths(video_id))
@@ -216,7 +227,8 @@ def build_mllm_request(
     total = media.frame_count(record.video_id)
     if total < 1:
         raise EmptyInputError(f"no frames for video {record.video_id}")
-    indices = sample_frames_uniform(total, config.frame_count)
+    # More frames than the video has would only repeat frames.
+    indices = sample_frames_uniform(total, min(config.frame_count, total))
     frames = [media.load_frame(record.video_id, i).to_array() for i in indices]
 
     spectrograms: list[np.ndarray] = []
@@ -285,6 +297,8 @@ def run_batch(
     video id so aggregation does not depend on completion order.
     """
     outcome = BatchOutcome()
+    if prompts is None:
+        prompts = default_prompts()
 
     def one(record: VideoRecord):
         try:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .annotations import Emotion, NfblClip, VideoRecord, serialize_annotations
-from .clients import MockLlmClient, mllm_request_payload, request_digest
+from .clients import MockLlmClient, mllm_request_digest
 from .dsp import AudioSignal
 from .pipeline import (
     MODES,
@@ -65,7 +65,7 @@ def make_mock_dataset(
     for rec in records:
         for mode in MODES:
             request = build_mllm_request(rec, media, sampling, mode, prompts)
-            key = request_digest(mllm_request_payload(*request))
+            key = mllm_request_digest(*request)
             # A video without clips (v001) makes the same request in va and
             # van; one request has one reply, so the first mode's text stays.
             text = mllm_fix.setdefault(

@@ -24,21 +24,28 @@ from .errors import DetectorUnavailableError, InvalidParamError, ParseError
 
 @dataclass
 class FrameImage:
-    """Row-major interleaved byte image (8 bits per channel)."""
+    """Row-major interleaved byte image (8 bits per channel).
+
+    ``pixels`` is any bytes-like buffer (``bytes``, ``bytearray`` or a
+    ``memoryview`` of either); frames are treated as immutable.
+    """
 
     width: int
     height: int
     channels: int
-    pixels: bytes
+    pixels: bytes | bytearray | memoryview
 
     def __post_init__(self):
         if len(self.pixels) != self.width * self.height * self.channels:
             raise InvalidParamError("pixel buffer does not match image dimensions")
 
     def to_array(self) -> np.ndarray:
-        return np.frombuffer(self.pixels, dtype=np.uint8).reshape(
+        """A read-only view of the pixels, shape (height, width, channels)."""
+        arr = np.frombuffer(self.pixels, dtype=np.uint8).reshape(
             self.height, self.width, self.channels
         )
+        arr.flags.writeable = False
+        return arr
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "FrameImage":
@@ -159,16 +166,15 @@ def blur_region(frame: FrameImage, box: FaceBox, sigma: float) -> FrameImage:
     if clipped is None:
         return frame
     kernel = gaussian_kernel(sigma)
-    arr = frame.to_array().copy()
-    region = arr[
-        clipped.y : clipped.y + clipped.h, clipped.x : clipped.x + clipped.w
-    ].astype(np.float64)
+    # The one copy of the frame: blurred in place, then owned by the result.
+    pixels = bytearray(frame.pixels)
+    arr = np.frombuffer(pixels, dtype=np.uint8).reshape(frame.height, frame.width, frame.channels)
+    box_px = np.s_[clipped.y : clipped.y + clipped.h, clipped.x : clipped.x + clipped.w]
+    region = arr[box_px].astype(np.float64)
     region = ndimage.convolve1d(region, kernel, axis=1, mode="nearest")
     region = ndimage.convolve1d(region, kernel, axis=0, mode="nearest")
-    arr[clipped.y : clipped.y + clipped.h, clipped.x : clipped.x + clipped.w] = (
-        np.clip(np.rint(region), 0, 255).astype(np.uint8)
-    )
-    return FrameImage.from_array(arr)
+    arr[box_px] = np.clip(np.rint(region), 0, 255).astype(np.uint8)
+    return FrameImage(frame.width, frame.height, frame.channels, pixels)
 
 
 def default_sigma_policy(box: FaceBox) -> float:
@@ -214,7 +220,7 @@ def read_ppm(path: str | Path) -> FrameImage:
     if maxval != 255:
         raise ParseError("only maxval 255 is supported", context=str(path))
     pos += 1
-    pixels = data[pos : pos + width * height * 3]
+    pixels = memoryview(data)[pos : pos + width * height * 3]
     if len(pixels) != width * height * 3:
         raise ParseError("PPM pixel data truncated", context=str(path))
     return FrameImage(width, height, 3, pixels)

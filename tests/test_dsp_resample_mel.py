@@ -92,3 +92,20 @@ def test_mel_filterbank_properties():
         if diffs.size:
             first_drop = np.argmax(diffs < 0) if np.any(diffs < 0) else diffs.size
             assert np.all(diffs[first_drop:] <= 0.0)
+
+
+def test_mel_filterbank_is_built_once_and_read_only():
+    fb = mel_filterbank(64, 512, 16000)
+    assert mel_filterbank(64, 512, 16000) is fb
+    assert not fb.flags.writeable
+    with pytest.raises(ValueError):
+        fb[0, 0] = 1.0
+
+
+def test_cached_filterbank_keeps_mel_values_bit_identical(monkeypatch):
+    audio = AudioSignal(np.random.default_rng(5).standard_normal(16000) * 0.1, 16000)
+    mel_spectrogram(audio, bins=40)  # fills the cache
+    cached = mel_spectrogram(audio, bins=40).values
+    monkeypatch.setattr("emodeid.dsp.mel_filterbank", mel_filterbank.__wrapped__)
+    fresh = mel_spectrogram(audio, bins=40).values
+    assert cached.tobytes() == fresh.tobytes()

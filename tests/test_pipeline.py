@@ -2,18 +2,25 @@ import http.server
 import json
 import os
 import struct
+import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from emodeid.annotations import Emotion, NfblClip
+from emodeid import pipeline
+from emodeid.annotations import Emotion, NfblClip, VideoRecord
 from emodeid.clients import (
+    DIGEST_SCHEME,
     JsonEndpoint,
     MockLlmClient,
     MockMllmClient,
     RemoteLlmClient,
     RemoteMllmClient,
+    mllm_request_digest,
     mllm_request_payload,
     request_digest,
 )
@@ -27,10 +34,12 @@ from emodeid.errors import (
 from emodeid.pipeline import (
     NO_NFBL_LINE,
     BatchOutcome,
+    DirectoryMediaSource,
     PipelineResponse,
     PipelineResult,
     SamplingConfig,
     build_mllm_prompt,
+    build_mllm_request,
     default_prompts,
     judge_emotion,
     parse_judge_reply,
@@ -41,6 +50,7 @@ from emodeid.pipeline import (
     segment_audio,
     write_results,
 )
+from emodeid.video import FrameImage, write_ppm
 
 from conftest import make_mock_dataset
 
@@ -169,10 +179,114 @@ def test_request_digest_stable():
     assert a != c
 
 
+def test_payload_digest_is_the_mock_replay_key():
+    rng = np.random.default_rng(3)
+    wide = rng.standard_normal((6, 10))
+    frames = [rng.integers(0, 256, (4, 5, 3), dtype=np.uint8)]
+    specs = [rng.standard_normal((3, 7)), wide[:, ::2]]  # float64, one non-contiguous
+    assert not specs[1].flags.c_contiguous
+    key = request_digest(mllm_request_payload("p", frames, specs))
+    assert key == mllm_request_digest("p", frames, specs)
+    client = MockMllmClient({key: "described"})
+    assert client.generate("p", frames, specs) == "described"
+    assert client.calls[0]["digest"] == key
+
+
+def test_request_digest_separates_roles_layouts_and_prompts():
+    frame = np.arange(24, dtype=np.uint8).reshape(2, 4, 3)
+    spec = np.ones((4, 5))
+    base = mllm_request_digest("p", [frame], [spec])
+    variants = [
+        mllm_request_digest("p", [frame, spec], []),  # spectrogram moved to frames
+        mllm_request_digest("p", [], [frame, spec]),  # frame moved to spectrograms
+        mllm_request_digest("p", [frame.reshape(4, 2, 3)], [spec]),  # same bytes, other shape
+        mllm_request_digest("p", [frame.view(np.int8)], [spec]),  # same bytes, other dtype
+        mllm_request_digest("p ", [frame], [spec]),  # other prompt
+    ]
+    assert len({base, *variants}) == 1 + len(variants)
+
+
 def test_mock_mllm_missing_fixture():
     client = MockMllmClient({})
     with pytest.raises(ClientUnavailableError):
         client.generate("p", [], [])
+
+
+def test_fixture_miss_names_the_digest_scheme():
+    with pytest.raises(ClientUnavailableError, match="no fixture transcript") as err:
+        MockMllmClient({}).generate("p", [np.zeros((2, 2, 3), np.uint8)], [])
+    assert f"digest scheme {DIGEST_SCHEME}" in str(err.value)
+    assert "regenerate fixture files" in str(err.value)
+
+
+def _frames_video(root, video_id, count):
+    frames_dir = root / video_id / "frames"
+    frames_dir.mkdir(parents=True)
+    for k in range(count):
+        arr = np.full((2, 2, 3), k, dtype=np.uint8)
+        write_ppm(frames_dir / f"frame_{k:03d}.ppm", FrameImage.from_array(arr))
+    return VideoRecord(video_id, Emotion.POSITIVE, 10.0, count / 10.0, [])
+
+
+def test_request_lists_the_frame_directory_once(tmp_path, monkeypatch):
+    record = _frames_video(tmp_path, "long", 50)
+    globs = []
+    real_glob = Path.glob
+
+    def counting_glob(self, pattern, *args, **kwargs):
+        globs.append((self, pattern))
+        return real_glob(self, pattern, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "glob", counting_glob)
+    media = DirectoryMediaSource(tmp_path)
+    _, frames, _ = build_mllm_request(
+        record, media, SamplingConfig(frame_count=32), "v", default_prompts()
+    )
+    assert globs == [(tmp_path / "long" / "frames", "*.ppm")]
+    assert [int(f[0, 0, 0]) for f in frames] == sample_frames_uniform(50, 32)
+
+
+def test_shared_media_source_under_thread_contention(tmp_path):
+    records = [_frames_video(tmp_path, f"v{i}", 12) for i in range(3)]
+    media = DirectoryMediaSource(tmp_path)
+
+    def load_all(record):
+        return [int(media.load_frame(record.video_id, k).pixels[0]) for k in range(12)]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(load_all, record) for record in records * 8]
+            loaded = [f.result(timeout=30) for f in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    assert loaded == [list(range(12))] * len(futures)
+    assert all(media.frame_count(r.video_id) == 12 for r in records)
+
+
+def test_frame_count_is_capped_at_the_video_length(tmp_path):
+    record = _frames_video(tmp_path, "short", 6)
+    media = DirectoryMediaSource(tmp_path)
+    started = time.monotonic()
+    _, frames, _ = build_mllm_request(
+        record, media, SamplingConfig(frame_count=10**8), "v", default_prompts()
+    )
+    assert time.monotonic() - started < 1.0
+    assert [int(f[0, 0, 0]) for f in frames] == list(range(6))
+
+
+def test_batch_reads_the_prompts_once(mock_dataset, monkeypatch):
+    records, media, fixtures, _, _ = mock_dataset
+    reads = []
+    real = pipeline.default_prompts
+    monkeypatch.setattr(pipeline, "default_prompts", lambda: reads.append(1) or real())
+    outcome = run_batch(
+        records, media, SamplingConfig(frame_count=4), MockMllmClient(fixtures["mllm"]),
+        MockLlmClient(fixtures["judge"]), mode="van", workers=2,
+    )
+    assert len(outcome.results) == len(records)
+    assert len(reads) == 1
 
 
 def test_run_pipeline_deterministic(mock_dataset):

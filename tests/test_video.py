@@ -135,6 +135,22 @@ def test_ppm_round_trip(tmp_path):
     assert back.pixels == frame.pixels
 
 
+def test_ppm_read_write_round_trip_is_byte_identical(tmp_path):
+    src, dst = tmp_path / "in.ppm", tmp_path / "out.ppm"
+    write_ppm(src, checkerboard(31, 7, 3))
+    write_ppm(dst, read_ppm(src))
+    assert dst.read_bytes() == src.read_bytes()
+
+
+def test_blur_region_leaves_its_input_unchanged():
+    frame = checkerboard()
+    before = bytes(frame.pixels)
+    out = blur_region(frame, FaceBox(0, 8, 8, 16, 16), 2.0)
+    assert bytes(frame.pixels) == before
+    assert out.pixels != frame.pixels
+    assert not out.to_array().flags.writeable
+
+
 def test_ppm_with_comment(tmp_path):
     path = tmp_path / "c.ppm"
     path.write_bytes(b"P6\n# a comment\n2 1\n255\n" + bytes(6))
