@@ -12,7 +12,7 @@ import json
 import math
 import os
 import re
-import tempfile
+import secrets
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -319,19 +319,21 @@ def run_batch(
 
 @contextmanager
 def atomic_path(path: str | Path):
-    """Yield a temporary sibling path that replaces ``path`` on success.
+    """Yield a fresh temporary sibling path that replaces ``path`` on success.
 
+    The caller's writer creates the temporary file. Creating it here and
+    letting the writer reopen it with truncation would trip ext4's
+    replace-via-truncate heuristic (``auto_da_alloc``), which flushes the
+    file to disk when it is closed: one synchronous disk write per output.
     On error the temporary file is removed and ``path`` is left as it was.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    os.close(fd)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}")
     try:
-        yield Path(tmp)
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

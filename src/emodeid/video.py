@@ -170,10 +170,13 @@ def blur_region(frame: FrameImage, box: FaceBox, sigma: float) -> FrameImage:
     pixels = bytearray(frame.pixels)
     arr = np.frombuffer(pixels, dtype=np.uint8).reshape(frame.height, frame.width, frame.channels)
     box_px = np.s_[clipped.y : clipped.y + clipped.h, clipped.x : clipped.x + clipped.w]
+    # Two float buffers for the box, each pass writing into the other; the
+    # rounding and clipping reuse them too.
     region = arr[box_px].astype(np.float64)
-    region = ndimage.convolve1d(region, kernel, axis=1, mode="nearest")
-    region = ndimage.convolve1d(region, kernel, axis=0, mode="nearest")
-    arr[box_px] = np.clip(np.rint(region), 0, 255).astype(np.uint8)
+    rows = ndimage.convolve1d(region, kernel, axis=1, mode="nearest")
+    ndimage.convolve1d(rows, kernel, axis=0, output=region, mode="nearest")
+    np.clip(np.rint(region, out=region), 0, 255, out=region)
+    arr[box_px] = region
     return FrameImage(frame.width, frame.height, frame.channels, pixels)
 
 

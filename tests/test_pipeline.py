@@ -416,6 +416,21 @@ def test_write_results_is_atomic(tmp_path, monkeypatch):
     assert list(tmp_path.glob(".results.jsonl.*")) == []
 
 
+def test_atomic_path_leaves_creating_the_temp_file_to_the_writer(tmp_path):
+    # A writer that reopened an existing empty file with truncation would
+    # make ext4 flush the data to disk on close.
+    target = tmp_path / "frame.ppm"
+    with pipeline.atomic_path(target) as tmp:
+        assert tmp.parent == tmp_path and tmp.name.startswith(".frame.ppm.")
+        assert not tmp.exists()
+        tmp.write_bytes(b"new")
+    assert target.read_bytes() == b"new"
+    assert [p.name for p in tmp_path.iterdir()] == ["frame.ppm"]
+    with pytest.raises(RuntimeError), pipeline.atomic_path(target):
+        raise RuntimeError("writer failed before creating the file")
+    assert [p.name for p in tmp_path.iterdir()] == ["frame.ppm"]
+
+
 class _FakeInferenceHandler(http.server.BaseHTTPRequestHandler):
     fail_first = {"count": 0}
     paths: list[str] = []
