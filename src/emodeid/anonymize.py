@@ -5,15 +5,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import AudioSignal, FrameParams, PoleSet, frame_signal, hann_window, overlap_add
 from .errors import EmptyInputError, InvalidParamError, UnstableFilterError
 
 MAX_POLE_MAGNITUDE = 1.0 - 1e-6
-# Frames analysed per batch of array operations: large enough that numpy's
-# per-call overhead is spread thin, small enough that the (n, p, p) companion
-# stack and the other per-block arrays stay a few MB.
-BLOCK_FRAMES = 1024
+# Companion-matrix entries per batch of array operations: 1024 frames at the
+# default LPC order of 20. Enough frames that numpy's per-call overhead is
+# spread thin, few enough that the (n, p, p) companion stack stays a few MB
+# whatever the order.
+BLOCK_ENTRIES = 1024 * 20 * 20
+
+
+def block_frames(order: int) -> int:
+    """Frames per block at LPC order ``order``: the stack holds BLOCK_ENTRIES."""
+    return max(1, BLOCK_ENTRIES // (order * order))
 
 
 @dataclass
@@ -86,10 +93,10 @@ def _levinson_rows(x: np.ndarray, order: int) -> np.ndarray:
 
 def _fir_rows(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """``lpc_residual`` on every row: residual[n] = sum_k a_k x[n-k], zero state."""
-    out = coeffs[:, :1] * x
-    for k in range(1, coeffs.shape[1]):
-        out[:, k:] += coeffs[:, k : k + 1] * x[:, :-k]
-    return out
+    p = coeffs.shape[1] - 1
+    # lags[i, n, j] = x[i, n + j - p], with zeros before the row starts.
+    lags = sliding_window_view(np.pad(x, ((0, 0), (p, 0))), p + 1, axis=1)
+    return np.einsum("inj,ij->in", lags, coeffs[:, ::-1])
 
 
 def _roots_rows(coeffs: np.ndarray) -> np.ndarray:
@@ -119,6 +126,25 @@ def _expand_rows(poles: np.ndarray) -> np.ndarray:
     return coeffs.real
 
 
+def _stable_rows(coeffs: np.ndarray) -> np.ndarray:
+    """Whether each monic row has every root strictly inside the unit circle.
+
+    The step-down recursion (reverse Levinson, the Schur–Cohn test): the
+    last coefficient of the degree-m polynomial is its reflection
+    coefficient k, every |k| must be below 1, and
+    a_i <- (a_i - k a_{m-i}) / (1 - k^2) gives the degree m - 1 polynomial.
+    A row that fails carries on with k = 0, so nothing divides by zero.
+    """
+    a = coeffs[:, 1:].copy()
+    stable = np.ones(a.shape[0], dtype=bool)
+    for m in range(a.shape[1], 0, -1):
+        stable &= np.abs(a[:, m - 1]) < 1.0
+        k = np.where(stable, a[:, m - 1], 0.0)
+        head = a[:, : m - 1]
+        a[:, : m - 1] = (head - k[:, None] * head[:, ::-1]) / (1.0 - k * k)[:, None]
+    return stable
+
+
 def _synthesize_rows(residual: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """``synthesize`` on every row: all-pole filtering with zero initial state.
 
@@ -126,7 +152,7 @@ def _synthesize_rows(residual: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     the unit circle.
     """
     n, p = coeffs.shape[0], coeffs.shape[1] - 1
-    if np.max(np.abs(_roots_rows(coeffs))) >= 1.0:
+    if not np.all(_stable_rows(coeffs)):
         raise UnstableFilterError("synthesis filter has poles outside the unit circle")
     # y[:, p + t] is output sample t; the p leading zeros are the initial state.
     y = np.zeros((n, p + residual.shape[1]))
@@ -143,8 +169,8 @@ def anonymize_mcadams(audio: AudioSignal, params: AnonymizationParams) -> AudioS
     reconstruction, all-pole resynthesis of the residual; frames are then
     overlap-added with window-sum normalization. Output length, rate, and
     realness match the input; peak amplitude is rescaled to 0.99 only when
-    the result would clip. Frames are processed as arrays, BLOCK_FRAMES at a
-    time, which bounds the memory of the intermediate stacks.
+    the result would clip. Frames are processed as arrays, ``block_frames``
+    at a time, which bounds the memory of the intermediate stacks.
     """
     if audio.samples.size == 0:
         raise EmptyInputError("cannot anonymize an empty signal")
@@ -161,16 +187,17 @@ def anonymize_mcadams(audio: AudioSignal, params: AnonymizationParams) -> AudioS
     frames = frame_signal(padded, params.frame)
     window = hann_window(params.frame.win_samples(audio.sample_rate_hz))
     order = params.frame.lpc_order
+    block = block_frames(order)
     out_frames = np.empty_like(frames)
-    for start in range(0, frames.shape[0], BLOCK_FRAMES):
-        windowed = frames[start : start + BLOCK_FRAMES] * window
+    for start in range(0, frames.shape[0], block):
+        windowed = frames[start : start + block] * window
         coeffs = _levinson_rows(windowed, order)
         warped = warp_pole_angles(
             PoleSet(_roots_rows(coeffs)),
             params.mcadams_lambda,
             params.complex_angle_epsilon,
         )
-        out_frames[start : start + BLOCK_FRAMES] = _synthesize_rows(
+        out_frames[start : start + block] = _synthesize_rows(
             _fir_rows(windowed, coeffs), _expand_rows(warped.poles)
         )
     out = overlap_add(

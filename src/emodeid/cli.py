@@ -127,13 +127,16 @@ def cmd_mask_frames(frames_dir, output_dir, boxes_path, detector_url, sigma, sig
         {"boxes": str(boxes_path) if boxes_path else None, "detector_url": detector_url,
          "sigma": sigma, "sigma_scale": sigma_scale},
     )
-    paths = sorted(frames_dir.glob("*.ppm"))
+    paths = sorted(frames_dir.glob("*.ppm"), key=lambda p: p.name)
     output_dir.mkdir(parents=True, exist_ok=True)
-    for index, path in enumerate(paths):
-        frame = read_ppm(path)
-        masked = mask_frames([frame], detector.detect(frame, index))[0]
-        with atomic_path(output_dir / path.name) as tmp:
-            write_ppm(tmp, masked)
+    try:
+        for index, path in enumerate(paths):
+            frame = read_ppm(path)
+            masked = mask_frames([frame], detector.detect(frame, index))[0]
+            with atomic_path(output_dir / path.name) as tmp:
+                write_ppm(tmp, masked)
+    finally:
+        detector.close()
     if isinstance(detector, SidecarDetector):
         for idx in sorted(set(detector.boxes) - set(range(len(paths)))):
             click.echo(f"warning: boxes reference missing frame index {idx}; skipped", err=True)
@@ -196,8 +199,12 @@ def cmd_run_pipeline(annotations_path, media_root, output_dir, mock_fixtures, au
             mock_fixtures, cfg["mllm_endpoint"], cfg["judge_endpoint"],
             auth_token, cfg["timeout_s"], cfg["max_attempts"],
         )
-        outcome = run_batch(records, media, sampling, mllm, judge, mode=m,
-                            workers=cfg["workers"])
+        try:
+            outcome = run_batch(records, media, sampling, mllm, judge, mode=m,
+                                workers=cfg["workers"])
+        finally:
+            mllm.close()
+            judge.close()
         mode_dir = output_dir / m
         write_results(mode_dir, outcome)
         triples = [

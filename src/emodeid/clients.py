@@ -79,7 +79,7 @@ class JsonEndpoint:
     Network errors, undecodable replies and 5xx are retried with exponential
     backoff; a 4xx, or a 200 whose JSON is not an object, is raised at once.
     Each thread gets its own session, as ``run_batch`` calls clients from a
-    pool.
+    pool; ``close`` closes them all.
     """
 
     def __init__(self, url, auth_token=None, timeout_s=120.0, max_attempts=3, backoff_s=1.0,
@@ -91,11 +91,24 @@ class JsonEndpoint:
         self.backoff_s = backoff_s
         self.error = error
         self._local = threading.local()
+        self._sessions: list[requests.Session] = []
+        self._lock = threading.Lock()
 
     def _session(self) -> requests.Session:
-        if not hasattr(self._local, "session"):
-            self._local.session = requests.Session()
-        return self._local.session
+        local = self._local
+        if not hasattr(local, "session"):
+            local.session = requests.Session()
+            with self._lock:
+                self._sessions.append(local.session)
+        return local.session
+
+    def close(self) -> None:
+        """Close every thread's session; a later ``post`` opens new ones."""
+        with self._lock:
+            sessions, self._sessions = self._sessions, []
+            self._local = threading.local()
+        for session in sessions:
+            session.close()
 
     def post(self, payload: dict) -> dict:
         """The reply's JSON object; a reply of any other shape raises ``error``."""
@@ -138,6 +151,9 @@ class MllmClient(ABC):
     @abstractmethod
     def generate(self, prompt: str, frames, spectrograms) -> str: ...
 
+    def close(self) -> None:
+        """Release open connections, if the client holds any."""
+
 
 class LlmClient(ABC):
     """Text-only judge model: prompt -> reply text."""
@@ -147,6 +163,9 @@ class LlmClient(ABC):
     @abstractmethod
     def complete(self, prompt: str) -> str: ...
 
+    def close(self) -> None:
+        """Release open connections, if the client holds any."""
+
 
 class RemoteMllmClient(MllmClient):
     def __init__(self, endpoint, auth_token=None, timeout_s=120.0, max_attempts=3, backoff_s=1.0):
@@ -155,6 +174,9 @@ class RemoteMllmClient(MllmClient):
     def generate(self, prompt: str, frames, spectrograms) -> str:
         return self.endpoint.post_for_text(mllm_request_payload(prompt, frames, spectrograms))
 
+    def close(self) -> None:
+        self.endpoint.close()
+
 
 class RemoteLlmClient(LlmClient):
     def __init__(self, endpoint, auth_token=None, timeout_s=60.0, max_attempts=3, backoff_s=1.0):
@@ -162,6 +184,9 @@ class RemoteLlmClient(LlmClient):
 
     def complete(self, prompt: str) -> str:
         return self.endpoint.post_for_text({"prompt": prompt})
+
+    def close(self) -> None:
+        self.endpoint.close()
 
 
 class FixtureReplay:

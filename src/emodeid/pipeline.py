@@ -199,10 +199,11 @@ class DirectoryMediaSource:
     def _frame_paths(self, video_id: str) -> list[Path]:
         paths = self._listings.get(video_id)
         if paths is None:
-            # Threads listing one video at once all keep the first listing.
-            paths = self._listings.setdefault(
-                video_id, sorted((self.root / video_id / "frames").glob("*.ppm"))
-            )
+            # All paths share one parent, so sorting by name gives path order
+            # without Path comparisons. Threads listing one video at once all
+            # keep the first listing.
+            listing = (self.root / video_id / "frames").glob("*.ppm")
+            paths = self._listings.setdefault(video_id, sorted(listing, key=lambda p: p.name))
         return paths
 
     def frame_count(self, video_id: str) -> int:

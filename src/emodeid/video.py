@@ -78,6 +78,9 @@ class FaceDetector(ABC):
     @abstractmethod
     def detect(self, frame: FrameImage, frame_index: int) -> list[FaceBox]: ...
 
+    def close(self) -> None:
+        """Release open connections, if the detector holds any."""
+
 
 class SidecarDetector(FaceDetector):
     """Boxes read from a sidecar file, keyed by frame index."""
@@ -116,6 +119,9 @@ class RemoteDetector(FaceDetector):
 
     def __init__(self, endpoint: str, timeout_s: float = 30.0):
         self.endpoint = JsonEndpoint(endpoint, timeout_s=timeout_s, error=DetectorUnavailableError)
+
+    def close(self) -> None:
+        self.endpoint.close()
 
     def detect(self, frame: FrameImage, frame_index: int) -> list[FaceBox]:
         body = self.endpoint.post({

@@ -4,11 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ar_signal, speech_like_poles, speech_with_pauses
+from emodeid import anonymize
 from emodeid.anonymize import (
-    BLOCK_FRAMES,
+    MAX_POLE_MAGNITUDE,
     AnonymizationParams,
+    _roots_rows,
+    _stable_rows,
     _synthesize_rows,
     anonymize_mcadams,
+    block_frames,
     warp_pole_angles,
 )
 from emodeid.dsp import (
@@ -218,12 +222,33 @@ def test_matches_per_frame_oracle_on_noise():
     assert rel_l2(out.samples, per_frame_anonymize(x, params)) <= ORACLE_REL_L2
 
 
-def test_matches_per_frame_oracle_across_blocks():
-    shift = FrameParams().shift_samples(RATE)
-    x = speech_with_pauses(np.random.default_rng(42), (BLOCK_FRAMES + 150) * shift)
-    params = AnonymizationParams()
+def _assert_oracle_match_across_blocks(order):
+    frame = FrameParams(lpc_order=order)
+    shift = frame.shift_samples(RATE)
+    x = speech_with_pauses(np.random.default_rng(42), (block_frames(order) + 150) * shift)
+    params = AnonymizationParams(frame=frame)
     out = anonymize_mcadams(AudioSignal(x, RATE), params)
     assert rel_l2(out.samples, per_frame_anonymize(x, params)) <= ORACLE_REL_L2
+
+
+def test_matches_per_frame_oracle_across_blocks():
+    _assert_oracle_match_across_blocks(FrameParams().lpc_order)
+
+
+# Order 28 gives blocks of 522 frames. Higher orders leave the bound to
+# conditioning, not to blocking: the gap is 1.2e-8 at order 32 and 5.9e-8
+# at 36 whatever the block size, and from about order 40 on both this code
+# and the oracle reject most pole expansions (their imaginary-part check is
+# absolute).
+def test_matches_per_frame_oracle_across_blocks_at_a_higher_order():
+    _assert_oracle_match_across_blocks(28)
+
+
+def test_blocks_keep_the_companion_stack_size():
+    assert block_frames(20) == 1024
+    assert block_frames(28) == 522
+    assert block_frames(150) * 150 * 150 <= 1024 * 20 * 20
+    assert block_frames(1000) == 1
 
 
 def test_all_zero_signal_stays_zero():
@@ -242,3 +267,82 @@ def test_batched_synthesis_rejects_one_unstable_row():
     np.testing.assert_allclose(rows[0], synthesize(residual[0], stable), rtol=1e-12)
     with pytest.raises(UnstableFilterError):
         _synthesize_rows(residual, coeffs)
+
+
+def _stable_by_eigvals(coeffs):
+    return np.max(np.abs(_roots_rows(coeffs)), axis=1) < 1.0
+
+
+def _blocks_synthesized(monkeypatch, x, lam):
+    """The filter of every frame ``anonymize_mcadams`` synthesizes, block by block."""
+    blocks = []
+
+    def recording(residual, coeffs):
+        blocks.append(coeffs)
+        return _synthesize_rows(residual, coeffs)
+
+    monkeypatch.setattr(anonymize, "_synthesize_rows", recording)
+    anonymize_mcadams(AudioSignal(x, RATE), AnonymizationParams(mcadams_lambda=lam))
+    return blocks
+
+
+def _two_tone(n):
+    t = np.arange(n) / RATE
+    return 0.3 * np.sin(2 * np.pi * 440.0 * t) + 0.2 * np.sin(2 * np.pi * 2300.0 * t)
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.8, 1.0, 1.3, 1.9])
+def test_step_down_agrees_with_eigvals_on_anonymizer_blocks(monkeypatch, lam):
+    rng = np.random.default_rng(43)
+    signals = [
+        speech_with_pauses(rng, RATE),
+        rng.uniform(-0.5, 0.5, RATE),
+        _two_tone(RATE),
+    ]
+    for x in signals:
+        for coeffs in _blocks_synthesized(monkeypatch, x, lam):
+            np.testing.assert_array_equal(_stable_rows(coeffs), _stable_by_eigvals(coeffs))
+
+
+def _poles_at_the_cap(rng, real):
+    """10 conjugate pairs, plus one real pole at ``real`` times the cap unless
+    ``real`` is None, all on |z| = MAX_POLE_MAGNITUDE and at least 0.1 rad
+    apart, their conjugates and the real axis included."""
+    gaps = 0.1 + rng.dirichlet(np.ones(11)) * (np.pi - 1.1)
+    upper = MAX_POLE_MAGNITUDE * np.exp(1j * np.cumsum(gaps)[:10])
+    extra = [] if real is None else [real * MAX_POLE_MAGNITUDE]
+    return np.concatenate([upper, np.conj(upper), extra])
+
+
+# Closer angles at the cap are ill-conditioned for both stability checks;
+# they are not pinned.
+@pytest.mark.parametrize("real", [None, 1.0, -1.0])
+def test_step_down_agrees_with_eigvals_at_the_pole_cap(real):
+    rng = np.random.default_rng(44)
+    coeffs = np.array([np.poly(_poles_at_the_cap(rng, real)).real for _ in range(100)])
+    assert _stable_by_eigvals(coeffs).all()
+    assert _stable_rows(coeffs).all()
+
+
+def test_pole_pair_just_outside_the_circle_raises():
+    inside = 0.9 * np.exp(1j * np.array([0.4, 1.1, 2.0]))
+    outside = (1.0 + 1e-4) * np.exp(1.5j)
+    stable = np.poly(np.concatenate([inside, np.conj(inside)])).real
+    unstable = np.poly(
+        np.concatenate([inside[:2], [outside], np.conj(inside[:2]), [np.conj(outside)]])
+    ).real
+    coeffs = np.array([stable, unstable, stable])
+    np.testing.assert_array_equal(_stable_rows(coeffs), [True, False, True])
+    np.testing.assert_array_equal(_stable_by_eigvals(coeffs), [True, False, True])
+    with pytest.raises(UnstableFilterError):
+        _synthesize_rows(np.ones((3, 16)), coeffs)
+
+
+def test_one_eigenvalue_call_per_block(monkeypatch):
+    calls = []
+    monkeypatch.setattr(anonymize, "_roots_rows", lambda c: calls.append(1) or _roots_rows(c))
+    frame = FrameParams(lpc_order=28)
+    shift = frame.shift_samples(RATE)
+    x = np.random.default_rng(45).uniform(-0.5, 0.5, (2 * block_frames(28) + 10) * shift)
+    anonymize_mcadams(AudioSignal(x, RATE), AnonymizationParams(frame=frame))
+    assert len(calls) == 3

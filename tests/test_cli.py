@@ -1,3 +1,4 @@
+import base64
 import http.server
 import json
 import os
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emodeid.cli import EXIT_IO, EXIT_REMOTE, EXIT_USAGE, EXIT_VALIDATION, main
-from emodeid.clients import MockLlmClient, MockMllmClient
+from emodeid.clients import JsonEndpoint, MockLlmClient, MockMllmClient
 from emodeid.dsp import AudioSignal
 from emodeid.pipeline import SamplingConfig, run_pipeline
 from emodeid.video import FrameImage, write_ppm
@@ -209,9 +210,68 @@ def test_mask_frames_stops_at_first_failed_detection(tmp_path, capsys):
         ])
     finally:
         server.shutdown()
+        server.server_close()
     assert code == EXIT_REMOTE
     assert "returned 400" in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == ["0000.ppm"]
+
+
+class _RecordingDetector(http.server.BaseHTTPRequestHandler):
+    """Records (frame_index, first pixel byte) per request and finds no faces."""
+
+    seen: list = []
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.seen.append((body["frame_index"], base64.b64decode(body["pixels_b64"])[0]))
+        payload = json.dumps({"boxes": []}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_mask_frames_visits_frames_in_name_order_and_closes_the_detector(
+    tmp_path, monkeypatch
+):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for i in np.random.default_rng(8).permutation(12):
+        write_ppm(frames / f"{i:04d}.ppm", FrameImage.from_array(np.full((4, 4, 3), i, np.uint8)))
+    closed = []
+    real_close = JsonEndpoint.close
+    monkeypatch.setattr(JsonEndpoint, "close", lambda self: closed.append(1) or real_close(self))
+    _RecordingDetector.seen = []
+    server = http.server.HTTPServer(("127.0.0.1", 0), _RecordingDetector)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        code = main([
+            "mask-frames", str(frames), str(tmp_path / "out"),
+            "--detector-url", f"http://127.0.0.1:{server.server_port}/d",
+        ])
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert code == 0
+    assert _RecordingDetector.seen == [(i, i) for i in range(12)]
+    assert closed == [1]
+
+
+def test_run_pipeline_closes_its_remote_clients(tmp_path, monkeypatch):
+    _, media, _, ann_path, _ = make_mock_dataset(tmp_path / "data")
+    closed = []
+    monkeypatch.setattr(JsonEndpoint, "close", lambda self: closed.append(self.url))
+    code = main([
+        "run-pipeline", str(ann_path), str(media.root), str(tmp_path / "run"),
+        "--mode", "all", "--mllm-endpoint", "http://127.0.0.1:1/mllm",
+        "--judge-endpoint", "http://127.0.0.1:1/judge", "--max-attempts", "1",
+        "--timeout-s", "0.2", "--workers", "2",
+    ])
+    assert code == 0
+    assert closed == ["http://127.0.0.1:1/mllm", "http://127.0.0.1:1/judge"] * 3
 
 
 def _pipeline_args(ann_path, media, out_dir, fix_path, mode="all"):

@@ -6,10 +6,12 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
 import pytest
+import requests
 
 from emodeid import pipeline
 from emodeid.annotations import Emotion, NfblClip, VideoRecord
@@ -219,10 +221,10 @@ def test_fixture_miss_names_the_digest_scheme():
     assert "regenerate fixture files" in str(err.value)
 
 
-def _frames_video(root, video_id, count):
+def _frames_video(root, video_id, count, creation_order=None):
     frames_dir = root / video_id / "frames"
     frames_dir.mkdir(parents=True)
-    for k in range(count):
+    for k in range(count) if creation_order is None else creation_order:
         arr = np.full((2, 2, 3), k, dtype=np.uint8)
         write_ppm(frames_dir / f"frame_{k:03d}.ppm", FrameImage.from_array(arr))
     return VideoRecord(video_id, Emotion.POSITIVE, 10.0, count / 10.0, [])
@@ -244,6 +246,15 @@ def test_request_lists_the_frame_directory_once(tmp_path, monkeypatch):
     )
     assert globs == [(tmp_path / "long" / "frames", "*.ppm")]
     assert [int(f[0, 0, 0]) for f in frames] == sample_frames_uniform(50, 32)
+
+
+def test_frames_load_in_name_order_whatever_the_creation_order(tmp_path):
+    order = np.random.default_rng(7).permutation(40)
+    _frames_video(tmp_path, "shuffled", 40, creation_order=order)
+    media = DirectoryMediaSource(tmp_path)
+    assert media.frame_count("shuffled") == 40
+    loaded = [int(media.load_frame("shuffled", k).pixels[0]) for k in range(40)]
+    assert loaded == list(range(40))
 
 
 def test_shared_media_source_under_thread_contention(tmp_path):
@@ -473,21 +484,23 @@ def inference_server():
     threading.Thread(target=server.serve_forever, daemon=True).start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def test_remote_clients_roundtrip(inference_server):
-    mllm = RemoteMllmClient(inference_server + "/mllm", timeout_s=5.0)
     frames = [np.zeros((2, 2, 3), dtype=np.uint8)]
-    assert mllm.generate("p", frames, []) == "served: mllm"
-    judge = RemoteLlmClient(inference_server + "/judge", timeout_s=5.0)
-    assert judge.complete("p") == "served: judge"
+    with closing(RemoteMllmClient(inference_server + "/mllm", timeout_s=5.0)) as mllm:
+        assert mllm.generate("p", frames, []) == "served: mllm"
+    with closing(RemoteLlmClient(inference_server + "/judge", timeout_s=5.0)) as judge:
+        assert judge.complete("p") == "served: judge"
 
 
 def test_remote_client_retries_on_5xx(inference_server):
     client = RemoteLlmClient(
         inference_server + "/flaky", timeout_s=5.0, max_attempts=3, backoff_s=0.01
     )
-    assert client.complete("p") == "served: judge"
+    with closing(client):
+        assert client.complete("p") == "served: judge"
 
 
 def test_remote_client_unreachable_after_retries():
@@ -502,7 +515,7 @@ def test_remote_client_does_not_retry_4xx(inference_server):
     client = RemoteLlmClient(
         inference_server + "/missing", timeout_s=5.0, max_attempts=3, backoff_s=0.01
     )
-    with pytest.raises(ClientUnavailableError, match="returned 404"):
+    with closing(client), pytest.raises(ClientUnavailableError, match="returned 404"):
         client.complete("p")
     assert _FakeInferenceHandler.paths == ["/missing"]
 
@@ -510,19 +523,18 @@ def test_remote_client_does_not_retry_4xx(inference_server):
 @pytest.mark.parametrize("path", ["/list", "/numeric-text"])
 def test_remote_client_rejects_malformed_reply(inference_server, path):
     client = RemoteLlmClient(inference_server + path, timeout_s=5.0, backoff_s=0.01)
-    with pytest.raises(ClientUnavailableError, match="returned a (list|int)"):
+    with closing(client), pytest.raises(ClientUnavailableError, match="returned a (list|int)"):
         client.complete("p")
     assert _FakeInferenceHandler.paths == [path]
 
 
 def test_batch_records_malformed_reply_per_video(mock_dataset, inference_server):
     records, media, fixtures, _, _ = mock_dataset
-    outcome = run_batch(
-        records, media, SamplingConfig(frame_count=4),
-        RemoteMllmClient(inference_server + "/list", timeout_s=5.0),
-        MockLlmClient(fixtures["judge"]),
-        mode="v", workers=2,
-    )
+    with closing(RemoteMllmClient(inference_server + "/list", timeout_s=5.0)) as mllm:
+        outcome = run_batch(
+            records, media, SamplingConfig(frame_count=4), mllm,
+            MockLlmClient(fixtures["judge"]), mode="v", workers=2,
+        )
     assert outcome.results == []
     assert sorted(f["video_id"] for f in outcome.failures) == ["v000", "v001", "v002"]
     assert all("not an object" in f["error"] for f in outcome.failures)
@@ -537,6 +549,26 @@ def test_endpoint_keeps_one_session_per_thread():
     worker.start()
     worker.join()
     assert theirs[0] is not mine
+
+
+def test_endpoint_close_closes_every_threads_session(monkeypatch):
+    closed = []
+    monkeypatch.setattr(requests.Session, "close", lambda self: closed.append(self))
+    endpoint = JsonEndpoint("http://127.0.0.1:1/judge")
+    barrier = threading.Barrier(3)
+
+    def open_session(_):
+        barrier.wait(timeout=10)  # three live threads, so three sessions
+        return endpoint._session()
+
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        opened = list(pool.map(open_session, range(3)))
+    assert len(set(map(id, opened))) == 3
+    endpoint.close()
+    assert sorted(map(id, closed)) == sorted(map(id, opened))
+    assert endpoint._session() not in opened
+    endpoint.close()
+    assert len(closed) == 4
 
 
 def test_prompt_bundle_validation():

@@ -1,6 +1,7 @@
 import http.server
 import json
 import threading
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -232,26 +233,28 @@ def fake_detector_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/detect"
     server.shutdown()
+    server.server_close()
 
 
 def test_remote_detector_clips_out_of_bounds_box(fake_detector_server):
-    detector = RemoteDetector(fake_detector_server, timeout_s=5.0)
     frame = checkerboard(64, 48)
-    boxes = detect_faces(frame, detector, 0)
+    with closing(RemoteDetector(fake_detector_server, timeout_s=5.0)) as detector:
+        boxes = detect_faces(frame, detector, 0)
     assert boxes == [FaceBox(0, 0, 5, 64, 10)]
 
 
 def test_remote_detector_retries_on_5xx(fake_detector_server):
     detector = RemoteDetector(fake_detector_server.replace("/detect", "/flaky"), timeout_s=5.0)
     detector.endpoint.backoff_s = 0.01
-    boxes = detector.detect(checkerboard(64, 48), 3)
+    with closing(detector):
+        boxes = detector.detect(checkerboard(64, 48), 3)
     assert boxes == [FaceBox(3, -10, 5, 114, 10)]
     assert _FakeDetectorHandler.flaky_failures_left == [0]
 
 
 def test_remote_detector_rejects_box_without_y(fake_detector_server):
     detector = RemoteDetector(fake_detector_server.replace("/detect", "/no-y"), timeout_s=5.0)
-    with pytest.raises(DetectorUnavailableError, match="malformed box"):
+    with closing(detector), pytest.raises(DetectorUnavailableError, match="malformed box"):
         detector.detect(checkerboard(64, 48), 0)
 
 
