@@ -39,7 +39,7 @@ def mllm_request_payload(prompt: str, frames, spectrograms) -> dict:
     }
 
 
-DIGEST_SCHEME = "v2"
+DIGEST_SCHEME = "v3"
 
 
 def mllm_request_digest(prompt: str, frames, spectrograms) -> str:

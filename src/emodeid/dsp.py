@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sps
+from scipy import sparse
 
 from .errors import EmptyInputError, InvalidParamError, UnstableFilterError
 
@@ -332,18 +334,31 @@ def mel_filterbank(bins: int, nfft: int, sample_rate_hz: int) -> np.ndarray:
     return fb
 
 
+@functools.lru_cache(maxsize=16)
+def _mel_filterbank_csr(bins: int, nfft: int, sample_rate_hz: int) -> sparse.csr_array:
+    """`mel_filterbank` in CSR form, built once per argument triple; the
+    cached arrays are read-only."""
+    fb = sparse.csr_array(mel_filterbank(bins, nfft, sample_rate_hz))
+    for part in (fb.data, fb.indices, fb.indptr):
+        part.flags.writeable = False
+    return fb
+
+
 def mel_spectrogram(audio: AudioSignal, bins: int = 128) -> MelSpectrogram:
-    """Log-compressed mel power spectrogram (25 ms window, 10 ms hop, FFT 512)."""
+    """Log-compressed mel power spectrogram (25 ms window, 10 ms hop, FFT 512).
+
+    The filterbank is applied as a sparse CSR product, which sums each bin's
+    few nonzero terms in a fixed order and calls no BLAS routine: the values
+    do not depend on the BLAS thread count, so replay keys hashed from them
+    hold on any machine, and concurrent workers start no BLAS threads.
+    """
     if bins < 1:
         raise InvalidParamError("mel bin count must be at least 1")
     win = int(round(STFT_WIN_S * audio.sample_rate_hz))
     hop = int(round(STFT_HOP_S * audio.sample_rate_hz))
     if audio.samples.size < win:
         raise EmptyInputError("signal is shorter than one analysis window")
-    n_frames = 1 + (audio.samples.size - win) // hop
-    window = hann_window(win)
-    idx = np.arange(win)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = audio.samples[idx] * window
+    frames = sliding_window_view(audio.samples, win)[::hop] * hann_window(win)
     spectrum = np.abs(np.fft.rfft(frames, n=STFT_NFFT, axis=1)) ** 2
-    fb = mel_filterbank(bins, STFT_NFFT, audio.sample_rate_hz)
+    fb = _mel_filterbank_csr(bins, STFT_NFFT, audio.sample_rate_hz)
     return MelSpectrogram(np.log(fb @ spectrum.T + MEL_LOG_FLOOR))

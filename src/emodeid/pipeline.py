@@ -63,6 +63,10 @@ class SamplingConfig:
             raise InvalidParamError("frame_count must be at least 1")
         if not 0 < self.audio_segment_s < math.inf:
             raise InvalidParamError("audio_segment_s must be positive and finite")
+        if self.mel_bins < 1:
+            raise InvalidParamError("mel_bins must be at least 1")
+        if self.max_segments is not None and self.max_segments < 1:
+            raise InvalidParamError("max_segments must be at least 1")
 
 
 def default_prompts() -> "PromptBundle":

@@ -361,6 +361,20 @@ def test_run_pipeline_config_values_are_checked(tmp_path, doc, expected):
         assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--max-segments", "0"], ["--max-segments", "-1"], ["--mel-bins", "0"]],
+    ids=["max-segments-0", "max-segments-minus-1", "mel-bins-0"],
+)
+def test_run_pipeline_rejects_bad_sampling_before_any_video(tmp_path, capsys, flags):
+    _, media, _, ann_path, fix_path = make_mock_dataset(tmp_path / "data")
+    out_dir = tmp_path / "run"
+    args = _pipeline_args(ann_path, media, out_dir, fix_path, mode="va")
+    assert main(args + flags) == EXIT_VALIDATION
+    assert "validation error" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_run_pipeline_missing_fixture_is_failure(tmp_path):
     records, media, fixtures, ann_path, _ = make_mock_dataset(tmp_path / "data")
     # find the digest one video uses in this mode, then drop that fixture

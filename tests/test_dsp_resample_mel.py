@@ -1,14 +1,28 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import emodeid
+from emodeid import dsp
 from emodeid.dsp import (
+    MEL_LOG_FLOOR,
+    STFT_HOP_S,
+    STFT_NFFT,
+    STFT_WIN_S,
     AudioSignal,
+    hann_window,
     mel_filter_centers,
     mel_filterbank,
     mel_spectrogram,
     resample,
 )
 from emodeid.errors import EmptyInputError, InvalidParamError
+
+from conftest import speech_with_pauses
 
 
 def sine(freq_hz, duration_s, rate_hz, amplitude=1.0):
@@ -107,5 +121,56 @@ def test_cached_filterbank_keeps_mel_values_bit_identical(monkeypatch):
     mel_spectrogram(audio, bins=40)  # fills the cache
     cached = mel_spectrogram(audio, bins=40).values
     monkeypatch.setattr("emodeid.dsp.mel_filterbank", mel_filterbank.__wrapped__)
+    monkeypatch.setattr("emodeid.dsp._mel_filterbank_csr", dsp._mel_filterbank_csr.__wrapped__)
     fresh = mel_spectrogram(audio, bins=40).values
     assert cached.tobytes() == fresh.tobytes()
+
+
+def dense_reference_mel(audio, bins):
+    """Log-mel by fancy-index framing and a dense filterbank product."""
+    rate = audio.sample_rate_hz
+    win = int(round(STFT_WIN_S * rate))
+    hop = int(round(STFT_HOP_S * rate))
+    n_frames = 1 + (audio.samples.size - win) // hop
+    idx = np.arange(win)[None, :] + hop * np.arange(n_frames)[:, None]
+    power = np.abs(np.fft.rfft(audio.samples[idx] * hann_window(win), n=STFT_NFFT, axis=1)) ** 2
+    return np.log(mel_filterbank(bins, STFT_NFFT, rate) @ power.T + MEL_LOG_FLOOR)
+
+
+@pytest.mark.parametrize("rate", [8000, 16000, 44100])
+@pytest.mark.parametrize("bins", [1, 40, 128, 300])
+def test_mel_matches_the_dense_filterbank_product(bins, rate):
+    # 300 bins is more than the 257 FFT bins, so some filter rows are empty.
+    audio = AudioSignal(speech_with_pauses(np.random.default_rng(bins), rate), rate)
+    got = mel_spectrogram(audio, bins=bins).values
+    want = dense_reference_mel(audio, bins)
+    assert got.shape == want.shape
+    # An absolute bound on log values is a relative bound on mel power; a
+    # relative one on log values would fail wherever the power is near 1.
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+MEL_DIGEST_CHILD = """
+import hashlib, sys
+import numpy as np
+from emodeid.dsp import AudioSignal, mel_spectrogram
+spec = mel_spectrogram(AudioSignal(np.load(sys.argv[1]), 16000))
+print(hashlib.sha256(spec.values.tobytes()).hexdigest())
+"""
+
+
+def test_mel_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    clip = tmp_path / "speech.npy"
+    np.save(clip, speech_with_pauses(np.random.default_rng(8), 20 * 16000))
+    src = str(Path(emodeid.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-c", MEL_DIGEST_CHILD, str(clip)],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        digests.append(child.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
