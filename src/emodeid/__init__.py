@@ -13,9 +13,9 @@ from .annotations import (
     serialize_annotations,
     split_dataset,
 )
-from .dsp import AudioSignal, FrameParams, MelSpectrogram, PoleSet, mel_spectrogram, resample
+from .dsp import AudioSignal, FrameParams, MelSpectrogram, mel_spectrogram
 from .metrics import ConfusionCounts, EvalReport, confusion, evaluate
-from .pipeline import PipelineResponse, SamplingConfig, run_batch, run_pipeline
+from .pipeline import PipelineResult, SamplingConfig, run_batch, run_pipeline
 
 __version__ = "0.1.0"
 
@@ -29,8 +29,7 @@ __all__ = [
     "MelSpectrogram",
     "NFBL_REGISTRY",
     "NfblClip",
-    "PipelineResponse",
-    "PoleSet",
+    "PipelineResult",
     "SamplingConfig",
     "VideoRecord",
     "anonymize_mcadams",
@@ -41,7 +40,6 @@ __all__ = [
     "mel_spectrogram",
     "nfbl_histogram",
     "parse_annotations",
-    "resample",
     "run_batch",
     "run_pipeline",
     "serialize_annotations",

@@ -136,17 +136,20 @@ class VideoRecord:
                 )
 
 
-def parse_annotations(text: str) -> list[VideoRecord]:
-    """Parse an annotation document; errors carry record context."""
+def parse_annotations(text: str | bytes) -> list[VideoRecord]:
+    """Parse an annotation document (str or bytes); errors carry record context."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", context=f"line {exc.lineno}")
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}")
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_MARKER:
         raise ParseError(f"document must declare format {FORMAT_MARKER!r}")
+    videos = doc.get("videos", [])
+    if not isinstance(videos, list):
+        raise ParseError("videos must be a list")
     records = []
     seen = set()
-    for idx, video in enumerate(doc.get("videos", [])):
+    for idx, video in enumerate(videos):
         ctx = f"video #{idx}"
         try:
             video_id = str(video["video_id"])
@@ -174,11 +177,7 @@ def parse_annotations(text: str) -> list[VideoRecord]:
                     clips=clips,
                 )
             )
-        except UnknownClassError:
-            raise
-        except ParseError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(str(exc), context=ctx)
     return records
 
@@ -212,7 +211,11 @@ def serialize_annotations(records: list[VideoRecord]) -> str:
 
 
 def load_annotations(path: str | Path) -> list[VideoRecord]:
-    return parse_annotations(Path(path).read_text())
+    """Parse an annotation file; a ParseError also names the file."""
+    try:
+        return parse_annotations(Path(path).read_bytes())
+    except ParseError as exc:
+        raise ParseError(str(exc), context=str(path)) from None
 
 
 def nfbl_histogram(records: list[VideoRecord]) -> dict[str, int]:

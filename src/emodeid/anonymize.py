@@ -7,10 +7,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import AudioSignal, FrameParams, PoleSet, frame_signal, hann_window, overlap_add
+from .dsp import AudioSignal, FrameParams, frame_signal, hann_window, overlap_add
 from .errors import EmptyInputError, InvalidParamError, UnstableFilterError
 
 MAX_POLE_MAGNITUDE = 1.0 - 1e-6
+# Poles within this angle of 0 or pi count as real; warped angles stay this
+# far inside (0, pi).
+ANGLE_EPSILON = 1e-6
 # Companion-matrix entries per batch of array operations: 1024 frames at the
 # default LPC order of 20. Enough frames that numpy's per-call overhead is
 # spread thin, few enough that the (n, p, p) companion stack stays a few MB
@@ -29,37 +32,33 @@ class AnonymizationParams:
 
     frame: FrameParams = field(default_factory=FrameParams)
     mcadams_lambda: float = 0.8
-    complex_angle_epsilon: float = 1e-6
 
     def __post_init__(self):
         if not 0.0 < self.mcadams_lambda < 2.0:
             raise InvalidParamError("mcadams_lambda must be in (0, 2)")
-        if self.complex_angle_epsilon <= 0.0:
-            raise InvalidParamError("complex_angle_epsilon must be positive")
 
 
-def warp_pole_angles(poles: PoleSet, mcadams_lambda: float, epsilon: float) -> PoleSet:
+def warp_pole_angles(poles: np.ndarray, mcadams_lambda: float) -> np.ndarray:
     """Raise each complex pole angle to the power lambda, magnitude unchanged.
 
-    Real poles (angle within epsilon of 0 or pi) are left alone; warped angles
-    are clamped back into (epsilon, pi - epsilon) and magnitudes capped just
-    inside the unit circle so the synthesis filter stays stable. Works on a
-    pole array of any shape; a pole the warp would not change is returned
-    bit for bit.
+    Real poles (angle within ANGLE_EPSILON of 0 or pi) are left alone; warped
+    angles are clamped back into (ANGLE_EPSILON, pi - ANGLE_EPSILON) and
+    magnitudes capped just inside the unit circle so the synthesis filter
+    stays stable. Works on a pole array of any shape; a pole the warp would
+    not change is returned bit for bit.
     """
-    p = poles.poles
-    angle = np.angle(p)
+    angle = np.angle(poles)
     theta = np.abs(angle)
-    mag = np.abs(p)
+    mag = np.abs(poles)
     capped = np.minimum(mag, MAX_POLE_MAGNITUDE)
-    new_theta = np.clip(theta**mcadams_lambda, epsilon, np.pi - epsilon)
+    new_theta = np.clip(theta**mcadams_lambda, ANGLE_EPSILON, np.pi - ANGLE_EPSILON)
     keep = (
-        (theta <= epsilon)
-        | (theta >= np.pi - epsilon)
+        (theta <= ANGLE_EPSILON)
+        | (theta >= np.pi - ANGLE_EPSILON)
         | ((new_theta == theta) & (capped == mag))
     )
     warped = capped * np.exp(1j * np.sign(angle) * new_theta)
-    return PoleSet(np.where(keep, p, warped))
+    return np.where(keep, poles, warped)
 
 
 def _dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -192,13 +191,9 @@ def anonymize_mcadams(audio: AudioSignal, params: AnonymizationParams) -> AudioS
     for start in range(0, frames.shape[0], block):
         windowed = frames[start : start + block] * window
         coeffs = _levinson_rows(windowed, order)
-        warped = warp_pole_angles(
-            PoleSet(_roots_rows(coeffs)),
-            params.mcadams_lambda,
-            params.complex_angle_epsilon,
-        )
+        warped = warp_pole_angles(_roots_rows(coeffs), params.mcadams_lambda)
         out_frames[start : start + block] = _synthesize_rows(
-            _fir_rows(windowed, coeffs), _expand_rows(warped.poles)
+            _fir_rows(windowed, coeffs), _expand_rows(warped)
         )
     out = overlap_add(
         out_frames, params.frame, audio.sample_rate_hz, padded.samples.size

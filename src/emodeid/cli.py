@@ -111,21 +111,19 @@ def cmd_anonymize_audio(input_path, output_path, **cfg):
 @click.argument("output_dir", type=click.Path(file_okay=False, path_type=Path))
 @click.option("--boxes", "boxes_path", type=click.Path(exists=True, path_type=Path), default=None)
 @click.option("--detector-url", default=None)
-@click.option("--sigma", type=float, default=None, help="Fixed blur sigma for every box.")
-@click.option("--sigma-scale", type=float, default=0.25,
-              help="Box-proportional sigma: scale * max(w, h).")
-def cmd_mask_frames(frames_dir, output_dir, boxes_path, detector_url, sigma, sigma_scale):
-    """Blur face regions in a directory of PPM frames (sorted, index order)."""
+def cmd_mask_frames(frames_dir, output_dir, boxes_path, detector_url):
+    """Blur face regions in a directory of PPM frames (sorted, index order).
+
+    Each box is blurred with sigma = max(w, h) / 4.
+    """
     if (boxes_path is None) == (detector_url is None):
         raise click.UsageError("provide exactly one of --boxes or --detector-url")
     detector = (
         SidecarDetector(boxes_path) if boxes_path else RemoteDetector(detector_url)
     )
-    policy = (lambda b: sigma) if sigma else (lambda b: sigma_scale * max(b.w, b.h))
     _echo_config(
         "mask-frames",
-        {"boxes": str(boxes_path) if boxes_path else None, "detector_url": detector_url,
-         "sigma": sigma, "sigma_scale": sigma_scale},
+        {"boxes": str(boxes_path) if boxes_path else None, "detector_url": detector_url},
     )
     paths = sorted(frames_dir.glob("*.ppm"), key=lambda p: p.name)
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -143,10 +141,22 @@ def cmd_mask_frames(frames_dir, output_dir, boxes_path, detector_url, sigma, sig
     click.echo(f"masked {len(paths)} frames into {output_dir}")
 
 
-def _build_clients(mock_fixtures, mllm_endpoint, judge_endpoint, auth_token, timeout_s, max_attempts):
-    if mock_fixtures is not None:
-        doc = json.loads(Path(mock_fixtures).read_text())
-        return MockMllmClient(doc.get("mllm", {})), MockLlmClient(doc.get("judge", {}))
+def _load_fixtures(path: Path) -> tuple[dict, dict]:
+    """The MLLM and judge reply tables of a --mock-fixtures file."""
+    try:
+        doc = json.loads(path.read_bytes())
+        # A document that is not an object of objects fails on .get or .values.
+        tables = doc.get("mllm", {}), doc.get("judge", {})
+        if all(isinstance(text, str) for table in tables for text in table.values()):
+            return tables
+    except (ValueError, RecursionError, AttributeError) as exc:
+        raise ParseError(f"bad fixture file: {exc}", context=str(path))
+    raise ParseError("fixture replies must be strings", context=str(path))
+
+
+def _build_clients(fixtures, mllm_endpoint, judge_endpoint, auth_token, timeout_s, max_attempts):
+    if fixtures is not None:
+        return MockMllmClient(fixtures[0]), MockLlmClient(fixtures[1])
     if not (mllm_endpoint and judge_endpoint):
         raise click.UsageError(
             "provide --mock-fixtures or both --mllm-endpoint and --judge-endpoint"
@@ -177,6 +187,7 @@ def _build_clients(mock_fixtures, mllm_endpoint, judge_endpoint, auth_token, tim
 def cmd_run_pipeline(annotations_path, media_root, output_dir, mock_fixtures, auth_token, **cfg):
     """Run the two-stage inference over every annotated video."""
     records = ann.load_annotations(annotations_path)
+    fixtures = _load_fixtures(mock_fixtures) if mock_fixtures is not None else None
     media = DirectoryMediaSource(media_root)
     sampling = SamplingConfig(
         frame_count=cfg["frame_count"],
@@ -196,7 +207,7 @@ def cmd_run_pipeline(annotations_path, media_root, output_dir, mock_fixtures, au
     per_mode = {}
     for m in modes:
         mllm, judge = _build_clients(
-            mock_fixtures, cfg["mllm_endpoint"], cfg["judge_endpoint"],
+            fixtures, cfg["mllm_endpoint"], cfg["judge_endpoint"],
             auth_token, cfg["timeout_s"], cfg["max_attempts"],
         )
         try:
@@ -207,15 +218,10 @@ def cmd_run_pipeline(annotations_path, media_root, output_dir, mock_fixtures, au
             judge.close()
         mode_dir = output_dir / m
         write_results(mode_dir, outcome)
-        triples = [
-            (r.response.emotion, labels[r.video_id], r.response.confidence)
-            for r in outcome.results
-        ]
+        triples = [(r.emotion, labels[r.video_id], r.confidence) for r in outcome.results]
         per_mode[m] = triples
         if triples:
-            report = met.evaluate(
-                [t[0] for t in triples], [t[1] for t in triples], [t[2] for t in triples]
-            )
+            report = met.evaluate(*zip(*triples))
             with atomic_path(mode_dir / "summary.txt") as tmp:
                 tmp.write_text(report.format() + "\n", encoding="utf-8")
         click.echo(f"mode {m}: {len(outcome.results)} results, {len(outcome.failures)} failures")
@@ -228,21 +234,14 @@ def cmd_run_pipeline(annotations_path, media_root, output_dir, mock_fixtures, au
         click.echo(table)
 
 
-def _collect_result_files(results_path: Path) -> list[Path]:
-    if results_path.is_file():
-        return [results_path]
-    return sorted(results_path.glob("**/results.jsonl"))
-
-
 @cli.command("evaluate")
 @click.argument("results_path", type=click.Path(exists=True, path_type=Path))
 @click.argument("annotations_path", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 def cmd_evaluate(results_path, annotations_path):
     """Score prediction records against annotation labels."""
     labels = {r.video_id: r.emotion for r in ann.load_annotations(annotations_path)}
-    files = _collect_result_files(results_path)
-    if not files:
-        raise ParseError(f"no results.jsonl found under {results_path}")
+    files = ([results_path] if results_path.is_file()
+             else sorted(results_path.glob("**/results.jsonl")))
     by_mode = {}
     for path in files:
         for rec in read_results(path):
@@ -251,13 +250,13 @@ def cmd_evaluate(results_path, annotations_path):
             by_mode.setdefault(rec["mode"], []).append(
                 (ann.Emotion(rec["emotion"]), labels[rec["video_id"]], rec["confidence"])
             )
+    if not by_mode:
+        raise ParseError(f"no result records found under {results_path}")
     if len(by_mode) > 1:
         click.echo(met.ablation_report(by_mode))
     else:
         ((_, triples),) = by_mode.items()
-        report = met.evaluate(
-            [t[0] for t in triples], [t[1] for t in triples], [t[2] for t in triples]
-        )
+        report = met.evaluate(*zip(*triples))
         click.echo(report.format())
 
 

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import json
 import threading
 import time
 from abc import ABC, abstractmethod
-from pathlib import Path
 
 import numpy as np
 import requests
@@ -194,9 +192,7 @@ class FixtureReplay:
 
     deterministic = True
 
-    def __init__(self, fixtures: dict[str, str] | str | Path):
-        if not isinstance(fixtures, dict):
-            fixtures = json.loads(Path(fixtures).read_text())
+    def __init__(self, fixtures: dict[str, str]):
         self.fixtures = dict(fixtures)
         self.calls: list = []
 

@@ -1,4 +1,4 @@
-"""Signal-processing primitives: framing, LPC, pole algebra, resampling, mel features.
+"""Signal-processing primitives: framing, LPC, pole algebra, mel features.
 
 All functions are pure and operate on immutable inputs; they are safe to call
 from concurrent workers.
@@ -9,7 +9,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -22,8 +21,6 @@ MEL_LOG_FLOOR = 1e-6
 STFT_WIN_S = 0.025
 STFT_HOP_S = 0.010
 STFT_NFFT = 512
-RESAMPLE_KAISER_BETA = 8.6
-RESAMPLE_TAPS_PER_PHASE = 64
 
 
 @dataclass
@@ -76,16 +73,6 @@ class FrameParams:
             raise InvalidParamError(
                 "lpc_order must be strictly less than the frame length in samples"
             )
-
-
-@dataclass
-class PoleSet:
-    """Poles of an all-pole synthesis filter, closed under conjugation."""
-
-    poles: np.ndarray
-
-    def __post_init__(self):
-        self.poles = np.asarray(self.poles, dtype=np.complex128)
 
 
 @dataclass
@@ -213,9 +200,9 @@ def _check_conjugate_closed(poles: np.ndarray, tol: float = 1e-8) -> None:
         remaining.pop(match)
 
 
-def poles_to_coeffs(poles: PoleSet) -> np.ndarray:
+def poles_to_coeffs(poles: np.ndarray) -> np.ndarray:
     """Expand prod(z - p_i) into monic real coefficients."""
-    p = poles.poles
+    p = np.asarray(poles, dtype=np.complex128)
     if p.size == 0:
         return np.array([1.0])
     _check_conjugate_closed(p)
@@ -268,36 +255,6 @@ def overlap_add(
         out[j : j + n, : hi - lo] += frames[:, lo:hi]
         den[j : j + n, : hi - lo] += window[lo:hi]
     return (out.ravel() / np.maximum(den.ravel(), 1e-6))[:total_length]
-
-
-def _design_resample_filter(up: int, down: int) -> np.ndarray:
-    phases = max(up, down)
-    half = (RESAMPLE_TAPS_PER_PHASE * phases) // 2
-    n = np.arange(-half, half + 1)
-    # Cutoff at min(f_in, f_out)/2, expressed as a fraction of the
-    # intermediate-rate Nyquist frequency.
-    cutoff = min(1.0, up / down) / up
-    h = cutoff * np.sinc(cutoff * n) * np.kaiser(2 * half + 1, RESAMPLE_KAISER_BETA)
-    # Unit DC gain; resample_poly applies the interpolation gain itself.
-    return h / np.sum(h)
-
-
-def resample(audio: AudioSignal, target_rate_hz: int) -> AudioSignal:
-    """Rational resampling with a Kaiser windowed-sinc anti-aliasing filter."""
-    if target_rate_hz <= 0:
-        raise InvalidParamError("target rate must be positive")
-    if target_rate_hz == audio.sample_rate_hz:
-        return AudioSignal(audio.samples.copy(), audio.sample_rate_hz)
-    ratio = Fraction(target_rate_hz, audio.sample_rate_hz)
-    up, down = ratio.numerator, ratio.denominator
-    h = _design_resample_filter(up, down)
-    out = sps.resample_poly(audio.samples, up, down, window=h)
-    want = int(round(audio.samples.size * target_rate_hz / audio.sample_rate_hz))
-    if out.size > want:
-        out = out[:want]
-    elif out.size < want:
-        out = np.pad(out, (0, want - out.size))
-    return AudioSignal(out, target_rate_hz)
 
 
 def hz_to_mel(f):

@@ -16,7 +16,7 @@ import secrets
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -24,12 +24,13 @@ import numpy as np
 
 from .annotations import NFBL_REGISTRY, Emotion, NfblClip, VideoRecord
 from .clients import LlmClient, MllmClient
-from .dsp import AudioSignal, mel_spectrogram
+from .dsp import STFT_WIN_S, AudioSignal, mel_spectrogram
 from .errors import (
     EmodeidError,
     EmptyInputError,
     InvalidParamError,
     JudgeParseError,
+    ParseError,
     UnknownClassError,
 )
 from .video import FrameImage, read_ppm
@@ -61,8 +62,8 @@ class SamplingConfig:
     def __post_init__(self):
         if self.frame_count < 1:
             raise InvalidParamError("frame_count must be at least 1")
-        if not 0 < self.audio_segment_s < math.inf:
-            raise InvalidParamError("audio_segment_s must be positive and finite")
+        if not STFT_WIN_S <= self.audio_segment_s < math.inf:
+            raise InvalidParamError(f"audio_segment_s must be finite and at least {STFT_WIN_S} s")
         if self.mel_bins < 1:
             raise InvalidParamError("mel_bins must be at least 1")
         if self.max_segments is not None and self.max_segments < 1:
@@ -92,32 +93,19 @@ class PromptBundle:
 
 
 @dataclass
-class PipelineResponse:
-    """Final judged outcome plus the descriptive text it was based on."""
+class PipelineResult:
+    """One video's judged outcome plus the descriptive text it was based on."""
 
+    video_id: str
+    mode: str
     mllm_text: str
     emotion: Emotion
     confidence: float
     confidence_clamped: bool = False
-
-
-@dataclass
-class PipelineResult:
-    video_id: str
-    mode: str
-    response: PipelineResponse
     timing_s: float = 0.0
 
     def to_record(self) -> dict:
-        return {
-            "video_id": self.video_id,
-            "mode": self.mode,
-            "emotion": self.response.emotion.value,
-            "confidence": self.response.confidence,
-            "confidence_clamped": self.response.confidence_clamped,
-            "mllm_text": self.response.mllm_text,
-            "timing_s": self.timing_s,
-        }
+        return {**asdict(self), "emotion": self.emotion.value}
 
 
 def sample_frames_uniform(total_frames: int, m: int) -> list[int]:
@@ -168,7 +156,9 @@ def parse_judge_reply(reply: str) -> tuple[Emotion, float, bool]:
     confidence_m = _CONFIDENCE_RE.search(reply)
     if emotion_m is None or confidence_m is None:
         raise JudgeParseError(f"reply does not match the answer grammar: {reply!r}")
-    emotion = Emotion(emotion_m.group(1).lower())
+    # IGNORECASE also matches letters such as "ſ" that lower() keeps, so the
+    # first letter, which has no such variant, names the emotion.
+    emotion = Emotion.POSITIVE if emotion_m.group(1)[0] in "pP" else Emotion.NEGATIVE
     raw = float(confidence_m.group(1))
     clamped = not 0.0 <= raw <= 10.0
     return emotion, min(max(raw, 0.0), 10.0), clamped
@@ -239,6 +229,9 @@ def build_mllm_request(
     spectrograms: list[np.ndarray] = []
     if mode in ("va", "van"):
         segments = segment_audio(media.load_audio(record.video_id), config.audio_segment_s)
+        if not segments:
+            # Without a spectrogram the request would be the mode-v request.
+            raise EmptyInputError(f"audio of video {record.video_id} is shorter than one segment")
         if config.max_segments is not None:
             segments = segments[: config.max_segments]
         spectrograms = [
@@ -272,12 +265,7 @@ def run_pipeline(
     # Deterministic (mock) runs report zero timing so result files are
     # byte-identical across reruns.
     timing = 0.0 if deterministic else time.monotonic() - started
-    return PipelineResult(
-        video_id=record.video_id,
-        mode=mode,
-        response=PipelineResponse(text, emotion, confidence, clamped),
-        timing_s=timing,
-    )
+    return PipelineResult(record.video_id, mode, text, emotion, confidence, clamped, timing)
 
 
 @dataclass
@@ -356,8 +344,19 @@ def write_results(out_dir: str | Path, outcome: BatchOutcome) -> None:
 
 
 def read_results(path: str | Path) -> list[dict]:
+    """The records of a results.jsonl file; a line that is not a result record
+    (string video_id and mode, known emotion, numeric confidence) raises ParseError."""
     records = []
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            records.append(json.loads(line))
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            Emotion(rec["emotion"])
+            if not (isinstance(rec["video_id"], str) and isinstance(rec["mode"], str)
+                    and isinstance(rec["confidence"], (int, float))):
+                raise TypeError("video_id and mode must be strings, confidence a number")
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            raise ParseError(f"bad result record: {exc!r}", context=f"{path}: line {lineno}")
+        records.append(rec)
     return records

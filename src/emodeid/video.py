@@ -87,9 +87,10 @@ class SidecarDetector(FaceDetector):
 
     def __init__(self, path: str | Path):
         self.boxes: dict[int, list[FaceBox]] = {}
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
             if not line.strip():
                 continue
+            ctx = f"{path}: line {lineno}"
             try:
                 rec = json.loads(line)
                 box = FaceBox(
@@ -99,10 +100,10 @@ class SidecarDetector(FaceDetector):
                     int(rec["w"]),
                     int(rec["h"]),
                 )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"bad box record: {exc}", context=f"line {lineno}")
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+                raise ParseError(f"bad box record: {exc}", context=ctx)
             if box.w <= 0 or box.h <= 0:
-                raise ParseError("box width/height must be positive", context=f"line {lineno}")
+                raise ParseError("box width/height must be positive", context=ctx)
             self.boxes.setdefault(box.frame_index, []).append(box)
 
     def detect(self, frame: FrameImage, frame_index: int) -> list[FaceBox]:
@@ -140,16 +141,6 @@ class RemoteDetector(FaceDetector):
             raise DetectorUnavailableError(
                 f"{self.endpoint.url} returned a malformed box: {exc!r}"
             ) from exc
-
-
-def detect_faces(frame: FrameImage, detector: FaceDetector, frame_index: int = 0) -> list[FaceBox]:
-    """Boxes for one frame, clipped to the frame bounds; may be empty."""
-    out = []
-    for box in detector.detect(frame, frame_index):
-        clipped = clip_box(box, frame.width, frame.height)
-        if clipped is not None:
-            out.append(clipped)
-    return out
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
@@ -190,15 +181,16 @@ def default_sigma_policy(box: FaceBox) -> float:
     return max(box.w, box.h) / 4.0
 
 
-def mask_frames(frames, boxes, sigma_policy=default_sigma_policy):
-    """Blur every box of every frame; boxes apply sequentially in listed order."""
+def mask_frames(frames, boxes):
+    """Blur every box of every frame with ``default_sigma_policy``; boxes
+    apply sequentially in listed order."""
     by_frame: dict[int, list[FaceBox]] = {}
     for box in boxes:
         by_frame.setdefault(box.frame_index, []).append(box)
     out = []
     for idx, frame in enumerate(frames):
         for box in by_frame.get(idx, []):
-            frame = blur_region(frame, box, sigma_policy(box))
+            frame = blur_region(frame, box, default_sigma_policy(box))
         out.append(frame)
     return out
 
@@ -223,8 +215,9 @@ def read_ppm(path: str | Path) -> FrameImage:
         fields.append(data[start:pos])
     if fields[0] != b"P6":
         raise ParseError("only binary P6 PPM is supported", context=str(path))
-    if not all(f.isdigit() for f in fields[1:]):
-        raise ParseError("PPM width, height and maxval must be decimal", context=str(path))
+    if not all(f.isdigit() and len(f) <= 9 for f in fields[1:]):
+        raise ParseError("PPM width, height and maxval must be decimal, at most 9 digits",
+                         context=str(path))
     width, height, maxval = (int(f) for f in fields[1:])
     if maxval != 255:
         raise ParseError("only maxval 255 is supported", context=str(path))

@@ -27,7 +27,6 @@ from emodeid.dsp import (
     AudioSignal,
     _check_conjugate_closed,
     FrameParams,
-    PoleSet,
     frame_signal,
     lpc_levinson,
     lpc_residual,
@@ -91,7 +90,7 @@ def test_pole_warp_invariants_bulk():
     lam = 0.8
     for _ in range(10_000):
         poles = _random_conjugate_closed(rng)
-        warped = warp_pole_angles(PoleSet(poles), lam, 1e-6).poles
+        warped = warp_pole_angles(poles, lam)
         assert np.all(np.abs(np.abs(warped) - np.abs(poles)) < 1e-9)
         theta = np.angle(poles)
         theta_new = np.angle(warped)
@@ -150,7 +149,7 @@ def test_root_coefficient_round_trip_bulk():
             if well_separated(new, roots):
                 roots.extend(new)
         roots = np.array(roots)
-        coeffs = poles_to_coeffs(PoleSet(roots))
+        coeffs = poles_to_coeffs(roots)
         recovered = poly_roots(coeffs)
         err = match_roots(recovered, roots)
         worst = max(worst, err)

@@ -18,7 +18,6 @@ from emodeid.anonymize import (
 from emodeid.dsp import (
     AudioSignal,
     FrameParams,
-    PoleSet,
     frame_signal,
     hann_window,
     lpc_levinson,
@@ -50,30 +49,30 @@ def random_pole_set(rng, max_pairs=10):
         poles.extend([z, np.conj(z)])
     if rng.random() < 0.3:
         poles.append(complex(rng.uniform(-0.999, 0.999)))
-    return PoleSet(np.array(poles))
+    return np.array(poles)
 
 
 def test_warp_known_pole():
-    pole_set = PoleSet(np.array([0.95 * np.exp(0.5j), 0.95 * np.exp(-0.5j)]))
-    warped = warp_pole_angles(pole_set, 0.8, 1e-6)
-    assert np.angle(warped.poles[0]) == pytest.approx(0.5**0.8, abs=1e-12)
-    assert abs(warped.poles[0]) == pytest.approx(0.95, abs=1e-12)
-    assert warped.poles[1] == np.conj(warped.poles[0])
+    pole_set = np.array([0.95 * np.exp(0.5j), 0.95 * np.exp(-0.5j)])
+    warped = warp_pole_angles(pole_set, 0.8)
+    assert np.angle(warped[0]) == pytest.approx(0.5**0.8, abs=1e-12)
+    assert abs(warped[0]) == pytest.approx(0.95, abs=1e-12)
+    assert warped[1] == np.conj(warped[0])
 
 
 def test_warp_lambda_one_is_identity():
     rng = np.random.default_rng(0)
     for _ in range(20):
         pole_set = random_pole_set(rng)
-        warped = warp_pole_angles(pole_set, 1.0, 1e-6)
-        np.testing.assert_array_equal(warped.poles, pole_set.poles)
+        warped = warp_pole_angles(pole_set, 1.0)
+        np.testing.assert_array_equal(warped, pole_set)
 
 
 def test_warp_leaves_real_poles_alone():
-    pole_set = PoleSet(np.array([0.9 + 0j, -0.7 + 0j]))
+    pole_set = np.array([0.9 + 0j, -0.7 + 0j])
     for lam in (0.5, 0.8, 1.3):
         np.testing.assert_array_equal(
-            warp_pole_angles(pole_set, lam, 1e-6).poles, pole_set.poles
+            warp_pole_angles(pole_set, lam), pole_set
         )
 
 
@@ -81,11 +80,11 @@ def test_warp_magnitude_invariance_and_angle_compression():
     rng = np.random.default_rng(1)
     for _ in range(200):
         pole_set = random_pole_set(rng)
-        warped = warp_pole_angles(pole_set, 0.8, 1e-6)
+        warped = warp_pole_angles(pole_set, 0.8)
         np.testing.assert_allclose(
-            np.abs(warped.poles), np.minimum(np.abs(pole_set.poles), 1 - 1e-6), atol=1e-9
+            np.abs(warped), np.minimum(np.abs(pole_set), 1 - 1e-6), atol=1e-9
         )
-        for old, new in zip(pole_set.poles, warped.poles):
+        for old, new in zip(pole_set, warped):
             theta, theta_new = abs(np.angle(old)), abs(np.angle(new))
             if 1e-6 < theta < np.pi - 1e-6:
                 assert abs(theta_new - 1.0) <= abs(theta - 1.0) + 1e-12
@@ -94,10 +93,10 @@ def test_warp_magnitude_invariance_and_angle_compression():
 
 
 def test_warp_expands_angles_for_lambda_above_one():
-    pole_set = PoleSet(np.array([0.9 * np.exp(0.5j), 0.9 * np.exp(-0.5j),
-                                 0.9 * np.exp(2.0j), 0.9 * np.exp(-2.0j)]))
-    warped = warp_pole_angles(pole_set, 1.2, 1e-6)
-    for old, new in zip(pole_set.poles, warped.poles):
+    pole_set = np.array([0.9 * np.exp(0.5j), 0.9 * np.exp(-0.5j),
+                         0.9 * np.exp(2.0j), 0.9 * np.exp(-2.0j)])
+    warped = warp_pole_angles(pole_set, 1.2)
+    for old, new in zip(pole_set, warped):
         theta, theta_new = abs(np.angle(old)), abs(np.angle(new))
         assert abs(theta_new - 1.0) >= abs(theta - 1.0) - 1e-12
 
@@ -105,9 +104,9 @@ def test_warp_expands_angles_for_lambda_above_one():
 def test_warp_output_conjugate_closed():
     rng = np.random.default_rng(2)
     for _ in range(100):
-        warped = warp_pole_angles(random_pole_set(rng), 0.8, 1e-6)
+        warped = warp_pole_angles(random_pole_set(rng), 0.8)
         poles = sorted(
-            (z for z in warped.poles if z.imag != 0), key=lambda z: (z.real, z.imag)
+            (z for z in warped if z.imag != 0), key=lambda z: (z.real, z.imag)
         )
         for i in range(0, len(poles), 2):
             assert poles[i] == np.conj(poles[i + 1])
@@ -150,8 +149,6 @@ def test_params_validation():
         AnonymizationParams(mcadams_lambda=0.0)
     with pytest.raises(InvalidParamError):
         AnonymizationParams(mcadams_lambda=2.0)
-    with pytest.raises(InvalidParamError):
-        AnonymizationParams(complex_angle_epsilon=0.0)
 
 
 def dominant_complex_angles(samples, order=8):
@@ -197,9 +194,7 @@ def per_frame_anonymize(x, params):
     out = np.empty_like(frames)
     for i, frame in enumerate(frames):
         coeffs, _ = lpc_levinson(frame, params.frame.lpc_order)
-        warped = warp_pole_angles(
-            PoleSet(poly_roots(coeffs)), params.mcadams_lambda, params.complex_angle_epsilon
-        )
+        warped = warp_pole_angles(poly_roots(coeffs), params.mcadams_lambda)
         out[i] = synthesize(lpc_residual(frame, coeffs), poles_to_coeffs(warped))
     y = overlap_add(out, params.frame, RATE, padded.samples.size)[shift : shift + x.size]
     peak = np.max(np.abs(y))

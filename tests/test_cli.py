@@ -363,8 +363,9 @@ def test_run_pipeline_config_values_are_checked(tmp_path, doc, expected):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--max-segments", "0"], ["--max-segments", "-1"], ["--mel-bins", "0"]],
-    ids=["max-segments-0", "max-segments-minus-1", "mel-bins-0"],
+    [["--max-segments", "0"], ["--max-segments", "-1"], ["--mel-bins", "0"],
+     ["--audio-segment-s", "0.01"]],
+    ids=["max-segments-0", "max-segments-minus-1", "mel-bins-0", "segment-below-mel-window"],
 )
 def test_run_pipeline_rejects_bad_sampling_before_any_video(tmp_path, capsys, flags):
     _, media, _, ann_path, fix_path = make_mock_dataset(tmp_path / "data")
@@ -408,6 +409,65 @@ def test_run_pipeline_requires_client_choice(tmp_path, capsys):
         "run-pipeline", str(ann_path), str(media.root), str(out_dir), "--mode", "v",
     ])
     assert code == EXIT_USAGE
+
+
+def _annotations_file(tmp_path, data):
+    path = tmp_path / "annotations.json"
+    path.write_bytes(data)
+    return ["stats", str(path)], path
+
+
+def _boxes_file(tmp_path, data):
+    _write_frames(tmp_path / "frames", n=1)
+    path = tmp_path / "boxes.jsonl"
+    path.write_bytes(data)
+    return ["mask-frames", str(tmp_path / "frames"), str(tmp_path / "out"), "--boxes", str(path)], path
+
+
+def _fixtures_file(tmp_path, data):
+    _, media, _, ann_path, _ = make_mock_dataset(tmp_path / "data")
+    path = tmp_path / "fixtures.json"
+    path.write_bytes(data)
+    return _pipeline_args(ann_path, media, tmp_path / "run", path), path
+
+
+def _results_file(tmp_path, data):
+    _, _, _, ann_path, _ = make_mock_dataset(tmp_path / "data")
+    path = tmp_path / "results.jsonl"
+    path.write_bytes(data)
+    return ["evaluate", str(path), str(ann_path)], path
+
+
+_RESULT = b'{"video_id": "v000", "mode": "v", "emotion": "positive", "confidence": 7.5}\n'
+_BOX = b'{"frame_index": 0, "x": 0, "y": 0, "w": 4, "h": 4}\n'
+
+
+@pytest.mark.parametrize(
+    ("make_args", "data", "where"),
+    [
+        (_annotations_file, b'{"format": "nfbl-annotations/1", "videos": 5}', ""),
+        (_annotations_file, b'{"format": "nfbl-annotations/1", "videos": null}', ""),
+        (_annotations_file, b'{"format": "nfbl-annotations/1", "videos": []}\xff', ""),
+        (_boxes_file, _BOX.replace(b'"x": 0', b'"x": Infinity'), "line 1"),
+        (_boxes_file, _BOX + b"\xff\n", "line 2"),
+        (_fixtures_file, b"{", ""),
+        (_fixtures_file, b"[1]", ""),
+        (_results_file, _RESULT + b"not json\n", "line 2"),
+        (_results_file, _RESULT.replace(b'"video_id": "v000", ', b""), "line 1"),
+        (_results_file, b"\n", ""),
+    ],
+    ids=[
+        "annotations-videos-number", "annotations-videos-null", "annotations-not-utf8",
+        "boxes-infinity", "boxes-not-utf8", "fixtures-truncated", "fixtures-list",
+        "results-not-json", "results-without-video-id", "results-empty",
+    ],
+)
+def test_malformed_input_file_exits_4(tmp_path, capsys, make_args, data, where):
+    args, path = make_args(tmp_path, data)
+    assert main(args) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:")
+    assert str(path) in err and where in err
 
 
 def test_evaluate_single_and_ablation(tmp_path, capsys):

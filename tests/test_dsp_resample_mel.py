@@ -18,7 +18,6 @@ from emodeid.dsp import (
     mel_filter_centers,
     mel_filterbank,
     mel_spectrogram,
-    resample,
 )
 from emodeid.errors import EmptyInputError, InvalidParamError
 
@@ -28,44 +27,6 @@ from conftest import speech_with_pauses
 def sine(freq_hz, duration_s, rate_hz, amplitude=1.0):
     t = np.arange(int(duration_s * rate_hz)) / rate_hz
     return AudioSignal(amplitude * np.sin(2 * np.pi * freq_hz * t), rate_hz)
-
-
-def test_resample_identity():
-    audio = sine(440, 0.5, 16000)
-    out = resample(audio, 16000)
-    np.testing.assert_array_equal(out.samples, audio.samples)
-    assert out.sample_rate_hz == 16000
-
-
-def test_resample_length_ten_minutes_to_320():
-    audio = AudioSignal(np.zeros(16000 * 600), 16000)
-    out = resample(audio, 320)
-    assert out.samples.size == 192_000
-    assert out.sample_rate_hz == 320
-
-
-def test_resample_keeps_low_frequency_peak():
-    audio = sine(50, 10.0, 16000)
-    out = resample(audio, 320)
-    spectrum = np.abs(np.fft.rfft(out.samples))
-    peak_hz = np.argmax(spectrum) * 320 / out.samples.size
-    assert peak_hz == pytest.approx(50.0, abs=0.5)
-
-
-def test_resample_upsamples_too():
-    audio = sine(100, 1.0, 8000)
-    out = resample(audio, 16000)
-    assert out.samples.size == 16000
-    spectrum = np.abs(np.fft.rfft(out.samples))
-    peak_hz = np.argmax(spectrum) * 16000 / out.samples.size
-    assert peak_hz == pytest.approx(100.0, abs=1.0)
-    # interpolation must preserve amplitude
-    assert np.max(np.abs(out.samples)) == pytest.approx(1.0, abs=0.01)
-
-
-def test_resample_rejects_bad_rate():
-    with pytest.raises(InvalidParamError):
-        resample(sine(50, 0.1, 16000), 0)
 
 
 def test_mel_shape_two_second_clip():

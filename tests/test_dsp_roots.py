@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emodeid.dsp import PoleSet, poles_to_coeffs, poly_roots
+from emodeid.dsp import poles_to_coeffs, poly_roots
 from emodeid.errors import InvalidParamError
 
 
@@ -54,7 +54,7 @@ def test_leading_zero_rejected():
 def test_conjugate_pairing_is_exact():
     rng = np.random.default_rng(2)
     for _ in range(20):
-        coeffs = poles_to_coeffs(PoleSet(random_conjugate_closed(rng)))
+        coeffs = poles_to_coeffs(random_conjugate_closed(rng))
         roots = poly_roots(coeffs)
         complex_roots = [z for z in roots if z.imag != 0.0]
         assert len(complex_roots) % 2 == 0
@@ -68,24 +68,24 @@ def test_conjugate_pairing_is_exact():
 
 def test_poles_to_coeffs_known_pair():
     np.testing.assert_allclose(
-        poles_to_coeffs(PoleSet(np.array([0.9, 0.8], dtype=complex))),
+        poles_to_coeffs(np.array([0.9, 0.8], dtype=complex)),
         [1.0, -1.7, 0.72],
     )
 
 
 def test_poles_to_coeffs_empty():
-    np.testing.assert_array_equal(poles_to_coeffs(PoleSet(np.zeros(0, dtype=complex))), [1.0])
+    np.testing.assert_array_equal(poles_to_coeffs(np.zeros(0, dtype=complex)), [1.0])
 
 
 def test_poles_to_coeffs_rejects_unpaired_complex_pole():
     with pytest.raises(InvalidParamError):
-        poles_to_coeffs(PoleSet(np.array([0.5 + 0.5j, 0.3])))
+        poles_to_coeffs(np.array([0.5 + 0.5j, 0.3]))
 
 
 def test_poles_to_coeffs_real_output():
     rng = np.random.default_rng(4)
     for _ in range(50):
-        coeffs = poles_to_coeffs(PoleSet(random_conjugate_closed(rng)))
+        coeffs = poles_to_coeffs(random_conjugate_closed(rng))
         assert coeffs.dtype == np.float64
 
 
@@ -94,5 +94,5 @@ def test_poles_to_coeffs_real_output():
 def test_root_coefficient_round_trip(seed):
     rng = np.random.default_rng(seed)
     poles = random_conjugate_closed(rng)
-    coeffs = poles_to_coeffs(PoleSet(poles))
+    coeffs = poles_to_coeffs(poles)
     assert match_roots(poly_roots(coeffs), poles) < 1e-6

@@ -37,7 +37,6 @@ from emodeid.pipeline import (
     NO_NFBL_LINE,
     BatchOutcome,
     DirectoryMediaSource,
-    PipelineResponse,
     PipelineResult,
     SamplingConfig,
     build_mllm_prompt,
@@ -53,6 +52,7 @@ from emodeid.pipeline import (
     write_results,
 )
 from emodeid.video import FrameImage, write_ppm
+from emodeid.wavio import write_wav
 
 from conftest import make_mock_dataset
 
@@ -312,8 +312,8 @@ def test_run_pipeline_deterministic(mock_dataset):
         )
     assert results[0].to_record() == results[1].to_record()
     assert results[0].timing_s == 0.0
-    assert results[0].response.emotion is records[0].emotion
-    assert 0.0 <= results[0].response.confidence <= 10.0
+    assert results[0].emotion is records[0].emotion
+    assert 0.0 <= results[0].confidence <= 10.0
 
 
 def test_video_only_mode_skips_audio(mock_dataset):
@@ -358,7 +358,7 @@ def test_mock_dataset_keeps_first_reply_of_a_shared_request(mock_dataset):
     texts = {
         mode: run_pipeline(
             records[1], media, config, MockMllmClient(fixtures["mllm"]), judge, mode
-        ).response.mllm_text
+        ).mllm_text
         for mode in ("va", "van")
     }
     assert texts["va"] == texts["van"] == "Descriptive response for v001 in mode va."
@@ -372,7 +372,22 @@ def test_mock_dataset_honours_max_segments(tmp_path):
         MockLlmClient(fixtures["judge"]), mode="va", workers=1,
     )
     assert outcome.failures == []
-    assert [r.response.emotion for r in outcome.results] == [r.emotion for r in records]
+    assert [r.emotion for r in outcome.results] == [r.emotion for r in records]
+
+
+@pytest.mark.parametrize("mode", ["va", "van"])
+def test_audio_shorter_than_one_segment_is_a_failure(mock_dataset, mode):
+    # With no spectrogram, v001's request would be its mode-v request and
+    # would replay the mode-v answer.
+    records, media, fixtures, _, _ = mock_dataset
+    write_wav(media.root / "v001" / "audio.wav", AudioSignal(np.zeros(16000), 16000))
+    outcome = run_batch(
+        records, media, SamplingConfig(frame_count=4), MockMllmClient(fixtures["mllm"]),
+        MockLlmClient(fixtures["judge"]), mode=mode, workers=1,
+    )
+    assert [(f["video_id"], f["mode"]) for f in outcome.failures] == [("v001", mode)]
+    assert "shorter than one segment" in outcome.failures[0]["error"]
+    assert [r.video_id for r in outcome.results] == ["v000", "v002"]
 
 
 def _corrupt_frame_header(media, video_id):
@@ -408,8 +423,7 @@ def test_batch_survives_corrupt_media(mock_dataset, corrupt):
 
 
 def _outcome(video_id):
-    response = PipelineResponse("text", Emotion.POSITIVE, 7.0)
-    return BatchOutcome(results=[PipelineResult(video_id, "van", response)])
+    return BatchOutcome(results=[PipelineResult(video_id, "van", "text", Emotion.POSITIVE, 7.0)])
 
 
 def test_write_results_is_atomic(tmp_path, monkeypatch):

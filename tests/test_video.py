@@ -15,7 +15,6 @@ from emodeid.video import (
     blur_region,
     clip_box,
     default_sigma_policy,
-    detect_faces,
     gaussian_kernel,
     mask_frames,
     read_ppm,
@@ -187,11 +186,11 @@ def test_sidecar_detector(tmp_path):
     )
     detector = SidecarDetector(path)
     frame = checkerboard()
-    assert detect_faces(frame, detector, 0) == [
+    assert detector.detect(frame, 0) == [
         FaceBox(0, 2, 3, 4, 5),
         FaceBox(0, 9, 9, 2, 2),
     ]
-    assert detect_faces(frame, detector, 3) == []
+    assert detector.detect(frame, 3) == []
 
 
 def test_sidecar_detector_malformed(tmp_path):
@@ -239,7 +238,7 @@ def fake_detector_server():
 def test_remote_detector_clips_out_of_bounds_box(fake_detector_server):
     frame = checkerboard(64, 48)
     with closing(RemoteDetector(fake_detector_server, timeout_s=5.0)) as detector:
-        boxes = detect_faces(frame, detector, 0)
+        boxes = [clip_box(b, frame.width, frame.height) for b in detector.detect(frame, 0)]
     assert boxes == [FaceBox(0, 0, 5, 64, 10)]
 
 
