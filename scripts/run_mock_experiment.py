@@ -18,7 +18,7 @@ from emodeid.cli import main as cli_main
 from emodeid.dsp import FrameParams
 from emodeid.pipeline import SamplingConfig
 from emodeid.synthetic import make_mock_dataset
-from emodeid.video import FaceBox, mask_frames, read_ppm
+from emodeid.video import FaceBox, mask_frame, read_ppm
 from emodeid.wavio import read_wav
 
 
@@ -52,7 +52,7 @@ def main(workdir, videos, mcadams_lambda, seed):
 
         frame = read_ppm(sorted((media.root / vid / "frames").glob("*.ppm"))[0])
         box = FaceBox(0, 1, 1, 4, 4)
-        masked = mask_frames([frame], [box])[0]
+        masked = mask_frame(frame, [box])
         arr, orig = masked.to_array(), frame.to_array()
         changed = int(np.sum(np.any(arr != orig, axis=2)))
         click.echo(f"masking smoke ({vid}): {changed} pixels changed inside a 4x4 box\n")

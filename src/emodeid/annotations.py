@@ -158,25 +158,12 @@ def parse_annotations(text: str | bytes) -> list[VideoRecord]:
                 raise ParseError("duplicate video_id", context=ctx)
             seen.add(video_id)
             clips = [
-                NfblClip(
-                    video_id=video_id,
-                    class_id=str(c["class_id"]),
-                    start_s=float(c["start_s"]),
-                    end_s=float(c["end_s"]),
-                    annotator=c.get("annotator"),
-                    confidence=c.get("confidence"),
-                )
+                NfblClip(video_id, str(c["class_id"]), float(c["start_s"]), float(c["end_s"]),
+                         annotator=c.get("annotator"), confidence=c.get("confidence"))
                 for c in video.get("clips", [])
             ]
-            records.append(
-                VideoRecord(
-                    video_id=video_id,
-                    emotion=Emotion(str(video["emotion"]).lower()),
-                    duration_s=float(video["duration_s"]),
-                    fps=float(video["fps"]),
-                    clips=clips,
-                )
-            )
+            records.append(VideoRecord(video_id, Emotion(str(video["emotion"]).lower()),
+                                       float(video["duration_s"]), float(video["fps"]), clips))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(str(exc), context=ctx)
     return records

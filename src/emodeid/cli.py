@@ -36,7 +36,7 @@ from .pipeline import (
     run_batch,
     write_results,
 )
-from .video import RemoteDetector, SidecarDetector, mask_frames, read_ppm, write_ppm
+from .video import RemoteDetector, SidecarDetector, mask_frame, read_ppm, write_ppm
 from .wavio import read_wav, write_wav
 
 EXIT_USAGE = 1
@@ -130,7 +130,7 @@ def cmd_mask_frames(frames_dir, output_dir, boxes_path, detector_url):
     try:
         for index, path in enumerate(paths):
             frame = read_ppm(path)
-            masked = mask_frames([frame], detector.detect(frame, index))[0]
+            masked = mask_frame(frame, detector.detect(frame, index))
             with atomic_path(output_dir / path.name) as tmp:
                 write_ppm(tmp, masked)
     finally:
@@ -204,18 +204,17 @@ def cmd_run_pipeline(annotations_path, media_root, output_dir, mock_fixtures, au
 
     modes = list(MODES) if cfg["mode"] == "all" else [cfg["mode"]]
     labels = {r.video_id: r.emotion for r in records}
+    mllm, judge = _build_clients(
+        fixtures, cfg["mllm_endpoint"], cfg["judge_endpoint"],
+        auth_token, cfg["timeout_s"], cfg["max_attempts"],
+    )
+    try:
+        outcomes = run_batch(records, media, sampling, mllm, judge, modes, workers=cfg["workers"])
+    finally:
+        mllm.close()
+        judge.close()
     per_mode = {}
-    for m in modes:
-        mllm, judge = _build_clients(
-            fixtures, cfg["mllm_endpoint"], cfg["judge_endpoint"],
-            auth_token, cfg["timeout_s"], cfg["max_attempts"],
-        )
-        try:
-            outcome = run_batch(records, media, sampling, mllm, judge, mode=m,
-                                workers=cfg["workers"])
-        finally:
-            mllm.close()
-            judge.close()
+    for m, outcome in outcomes.items():
         mode_dir = output_dir / m
         write_results(mode_dir, outcome)
         triples = [(r.emotion, labels[r.video_id], r.confidence) for r in outcome.results]
@@ -242,13 +241,18 @@ def cmd_evaluate(results_path, annotations_path):
     labels = {r.video_id: r.emotion for r in ann.load_annotations(annotations_path)}
     files = ([results_path] if results_path.is_file()
              else sorted(results_path.glob("**/results.jsonl")))
-    by_mode = {}
+    by_mode, seen = {}, {}
     for path in files:
         for rec in read_results(path):
-            if rec["video_id"] not in labels:
-                raise ParseError(f"no label for video {rec['video_id']}", context=str(path))
-            by_mode.setdefault(rec["mode"], []).append(
-                (ann.Emotion(rec["emotion"]), labels[rec["video_id"]], rec["confidence"])
+            vid, mode = rec["video_id"], rec["mode"]
+            if vid not in labels:
+                raise ParseError(f"no label for video {vid}", context=str(path))
+            if (mode, vid) in seen:
+                raise ParseError(f"video {vid} in mode {mode} appears twice: "
+                                 f"in {seen[mode, vid]} and in {path}")
+            seen[mode, vid] = path
+            by_mode.setdefault(mode, []).append(
+                (ann.Emotion(rec["emotion"]), labels[vid], rec["confidence"])
             )
     if not by_mode:
         raise ParseError(f"no result records found under {results_path}")

@@ -211,54 +211,62 @@ class DirectoryMediaSource:
         return audio
 
 
-def build_mllm_request(
-    record: VideoRecord,
-    media: DirectoryMediaSource,
-    config: SamplingConfig,
-    mode: str,
-    prompts: PromptBundle,
-) -> tuple[str, list[np.ndarray], list[np.ndarray]]:
-    """The prompt, sampled frames and mel spectrograms sent for one video."""
+def load_video_inputs(record: VideoRecord, media: DirectoryMediaSource, config: SamplingConfig,
+                      audio: bool) -> tuple[list, list | EmodeidError | None]:
+    """One video's sampled frames and, if ``audio``, mel clips, built once for all its modes;
+    when the audio gives no clips, its error stands in for them and each audio mode raises it."""
     total = media.frame_count(record.video_id)
     if total < 1:
         raise EmptyInputError(f"no frames for video {record.video_id}")
     # More frames than the video has would only repeat frames.
     indices = sample_frames_uniform(total, min(config.frame_count, total))
     frames = [media.load_frame(record.video_id, i).to_array() for i in indices]
-
-    spectrograms: list[np.ndarray] = []
-    if mode in ("va", "van"):
+    if not audio:
+        return frames, None
+    try:
         segments = segment_audio(media.load_audio(record.video_id), config.audio_segment_s)
         if not segments:
             # Without a spectrogram the request would be the mode-v request.
             raise EmptyInputError(f"audio of video {record.video_id} is shorter than one segment")
-        if config.max_segments is not None:
-            segments = segments[: config.max_segments]
-        spectrograms = [
-            mel_spectrogram(seg, bins=config.mel_bins).values for seg in segments
-        ]
+        specs = [mel_spectrogram(seg, bins=config.mel_bins).values
+                 for seg in segments[: config.max_segments]]
+    except EmodeidError as exc:
+        specs = exc
+    return frames, specs
 
+
+def mode_request(record: VideoRecord, inputs: tuple, mode: str, prompts: PromptBundle) -> tuple:
+    """The prompt, frames and mel clips that one mode sends for a video."""
+    frames, spectrograms = inputs
+    if mode == "v":
+        spectrograms = []
+    elif isinstance(spectrograms, EmodeidError):
+        raise spectrograms
     clips = record.clips if mode == "van" else []
     return build_mllm_prompt(clips, template=prompts.mllm_template), frames, spectrograms
 
 
-def run_pipeline(
-    record: VideoRecord,
-    media: DirectoryMediaSource,
-    config: SamplingConfig,
-    mllm: MllmClient,
-    judge: LlmClient,
-    mode: str = "van",
-    prompts: PromptBundle | None = None,
-) -> PipelineResult:
-    """End-to-end inference for one video in the selected ablation mode."""
+def build_mllm_request(record: VideoRecord, media: DirectoryMediaSource, config: SamplingConfig,
+                       mode: str, prompts: PromptBundle) -> tuple[str, list, list]:
+    """The prompt, sampled frames and mel spectrograms sent for one video."""
+    inputs = load_video_inputs(record, media, config, audio=mode != "v")
+    return mode_request(record, inputs, mode, prompts)
+
+
+def run_pipeline(record: VideoRecord, media: DirectoryMediaSource, config: SamplingConfig,
+                 mllm: MllmClient, judge: LlmClient, mode: str = "van",
+                 prompts: PromptBundle | None = None,
+                 inputs: tuple | None = None) -> PipelineResult:
+    """End-to-end inference for one video in one ablation mode, on ``inputs`` if given."""
     if mode not in MODES:
         raise InvalidParamError(f"mode must be one of {MODES}")
     if prompts is None:
         prompts = default_prompts()
     started = time.monotonic()
 
-    text = mllm.generate(*build_mllm_request(record, media, config, mode, prompts))
+    if inputs is None:
+        inputs = load_video_inputs(record, media, config, audio=mode != "v")
+    text = mllm.generate(*mode_request(record, inputs, mode, prompts))
     emotion, confidence, clamped = judge_emotion(judge, text, prompts.judge_template)
 
     deterministic = mllm.deterministic and judge.deterministic
@@ -274,40 +282,42 @@ class BatchOutcome:
     failures: list[dict] = field(default_factory=list)
 
 
-def run_batch(
-    records: list[VideoRecord],
-    media: DirectoryMediaSource,
-    config: SamplingConfig,
-    mllm: MllmClient,
-    judge: LlmClient,
-    mode: str = "van",
-    prompts: PromptBundle | None = None,
-    workers: int = 4,
-) -> BatchOutcome:
-    """Run every video; each item yields exactly one result or one failure.
-
-    Videos are processed by a bounded worker pool; outputs are sorted by
-    video id so aggregation does not depend on completion order.
-    """
-    outcome = BatchOutcome()
+def run_batch(records: list[VideoRecord], media: DirectoryMediaSource, config: SamplingConfig,
+              mllm: MllmClient, judge: LlmClient, modes=MODES,
+              prompts: PromptBundle | None = None, workers: int = 4) -> dict[str, BatchOutcome]:
+    """Each (video, mode) pair yields one result or one failure. A pool task
+    per video builds its inputs once and runs every mode on them; outputs are
+    sorted by video id so aggregation does not depend on completion order."""
     if prompts is None:
         prompts = default_prompts()
+    audio = any(mode != "v" for mode in modes)
 
-    def one(record: VideoRecord):
+    def attempt(record: VideoRecord, mode: str, inputs):
         try:
-            return run_pipeline(record, media, config, mllm, judge, mode, prompts)
+            if isinstance(inputs, EmodeidError):
+                raise inputs
+            return run_pipeline(record, media, config, mllm, judge, mode, prompts, inputs)
         except EmodeidError as exc:
             return {"video_id": record.video_id, "mode": mode, "error": str(exc)}
 
+    def one(record: VideoRecord):
+        try:
+            inputs = load_video_inputs(record, media, config, audio)
+        except EmodeidError as exc:
+            inputs = exc
+        return [attempt(record, mode, inputs) for mode in modes]
+
+    outcomes = {mode: BatchOutcome() for mode in modes}
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        for item in pool.map(one, records):
-            if isinstance(item, PipelineResult):
-                outcome.results.append(item)
-            else:
-                outcome.failures.append(item)
-    outcome.results.sort(key=lambda r: r.video_id)
-    outcome.failures.sort(key=lambda f: f["video_id"])
-    return outcome
+        for items in pool.map(one, records):
+            for mode, item in zip(modes, items):
+                outcome = outcomes[mode]
+                kept = outcome.results if isinstance(item, PipelineResult) else outcome.failures
+                kept.append(item)
+    for outcome in outcomes.values():
+        outcome.results.sort(key=lambda r: r.video_id)
+        outcome.failures.sort(key=lambda f: f["video_id"])
+    return outcomes
 
 
 @contextmanager

@@ -20,8 +20,9 @@ from .pipeline import (
     MODES,
     DirectoryMediaSource,
     SamplingConfig,
-    build_mllm_request,
     default_prompts,
+    load_video_inputs,
+    mode_request,
 )
 from .video import FrameImage, write_ppm
 from .wavio import write_wav
@@ -63,9 +64,9 @@ def make_mock_dataset(
 
     media = DirectoryMediaSource(media_root)
     for rec in records:
+        inputs = load_video_inputs(rec, media, sampling, audio=True)
         for mode in MODES:
-            request = build_mllm_request(rec, media, sampling, mode, prompts)
-            key = mllm_request_digest(*request)
+            key = mllm_request_digest(*mode_request(rec, inputs, mode, prompts))
             # A video without clips (v001) makes the same request in va and
             # van; one request has one reply, so the first mode's text stays.
             text = mllm_fix.setdefault(

@@ -9,6 +9,7 @@ fixtures stay lossless.
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import math
 from abc import ABC, abstractmethod
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .clients import JsonEndpoint
 from .errors import DetectorUnavailableError, InvalidParamError, ParseError
@@ -153,46 +153,66 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def blur_region(frame: FrameImage, box: FaceBox, sigma: float) -> FrameImage:
-    """Separable Gaussian blur inside one box; pixels outside are untouched.
-
-    Sampling is edge-clamped and confined to the box so no un-blurred face
-    pixels leak back in from the surroundings.
-    """
-    clipped = clip_box(box, frame.width, frame.height)
-    if clipped is None:
-        return frame
+@functools.lru_cache(maxsize=32)
+def _blur_operator(n: int, sigma: float) -> np.ndarray:
+    """(n, n) edge-clamped Gaussian blur, read-only as the cache shares it: ``B[i, j]`` sums
+    the taps of output ``i`` whose clamped source is ``j``, as ``convolve1d(mode="nearest")``."""
     kernel = gaussian_kernel(sigma)
-    # The one copy of the frame: blurred in place, then owned by the result.
-    pixels = bytearray(frame.pixels)
-    arr = np.frombuffer(pixels, dtype=np.uint8).reshape(frame.height, frame.width, frame.channels)
-    box_px = np.s_[clipped.y : clipped.y + clipped.h, clipped.x : clipped.x + clipped.w]
-    # Two float buffers for the box, each pass writing into the other; the
-    # rounding and clipping reuse them too.
-    region = arr[box_px].astype(np.float64)
-    rows = ndimage.convolve1d(region, kernel, axis=1, mode="nearest")
-    ndimage.convolve1d(rows, kernel, axis=0, output=region, mode="nearest")
-    np.clip(np.rint(region, out=region), 0, 255, out=region)
-    arr[box_px] = region
-    return FrameImage(frame.width, frame.height, frame.channels, pixels)
+    radius = kernel.size // 2
+    source = np.clip(np.arange(n)[:, None] + np.arange(-radius, radius + 1), 0, n - 1)
+    flat = source + n * np.arange(n)[:, None]
+    op = np.bincount(flat.ravel(), np.tile(kernel, n), n * n).reshape(n, n)
+    op.flags.writeable = False
+    return op
+
+
+# OpenBLAS shares a product of 2**19 or more multiply-adds with threads that then spin
+# for about 0.1 s, taking a core from the process's next work (a run-pipeline worker).
+_ONE_THREAD_MACS = 2**19 - 1
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` in blocks of rows small enough for OpenBLAS to keep on one thread."""
+    step = max(1, _ONE_THREAD_MACS // b.size)
+    return np.concatenate([a[i : i + step] @ b for i in range(0, len(a), step)])
+
+
+def blur_region(frame: FrameImage, box: FaceBox, sigma: float) -> FrameImage:
+    """Separable Gaussian blur inside one box; pixels outside are untouched."""
+    return mask_frame(frame, [box], lambda _: sigma)
 
 
 def default_sigma_policy(box: FaceBox) -> float:
     return max(box.w, box.h) / 4.0
 
 
+def mask_frame(frame: FrameImage, boxes, policy=default_sigma_policy) -> FrameImage:
+    """A copy of ``frame`` with each box, in order, given an edge-clamped Gaussian
+    blur of sigma ``policy(box)`` that reads no pixel outside the box."""
+    pixels = bytearray(frame.pixels) if boxes else frame.pixels  # frames are immutable
+    arr = np.frombuffer(pixels, dtype=np.uint8).reshape(frame.height, frame.width, frame.channels)
+    for box in boxes:
+        clipped = clip_box(box, frame.width, frame.height)
+        if clipped is None:
+            continue
+        h, w, sigma, c = clipped.h, clipped.w, policy(box), frame.channels
+        box_px = np.s_[clipped.y : clipped.y + h, clipped.x : clipped.x + w]
+        # Along the rows of each channel, laid out as (h, c, w), then down the
+        # columns of the row-blurred box, laid out as (c, w, h).
+        planes = arr[box_px].transpose(0, 2, 1).astype(np.float64, order="C").reshape(h * c, w)
+        rows = _product(planes, _blur_operator(w, sigma).T)
+        region = _product(rows.reshape(h, c * w).T, _blur_operator(h, sigma).T)
+        np.clip(np.rint(region, out=region), 0, 255, out=region)
+        arr[box_px] = region.reshape(c, w, h).transpose(2, 1, 0)
+    return FrameImage(frame.width, frame.height, frame.channels, pixels)
+
+
 def mask_frames(frames, boxes):
-    """Blur every box of every frame with ``default_sigma_policy``; boxes
-    apply sequentially in listed order."""
+    """``mask_frame`` over a list; a box applies to the frame at its ``frame_index``."""
     by_frame: dict[int, list[FaceBox]] = {}
     for box in boxes:
         by_frame.setdefault(box.frame_index, []).append(box)
-    out = []
-    for idx, frame in enumerate(frames):
-        for box in by_frame.get(idx, []):
-            frame = blur_region(frame, box, default_sigma_policy(box))
-        out.append(frame)
-    return out
+    return [mask_frame(frame, by_frame.get(idx, [])) for idx, frame in enumerate(frames)]
 
 
 def read_ppm(path: str | Path) -> FrameImage:

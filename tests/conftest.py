@@ -1,6 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
+from emodeid.pipeline import sample_frames_uniform
 from emodeid.synthetic import make_mock_dataset
 
 __all__ = ["ar_signal", "speech_like_poles", "speech_with_pauses", "make_mock_dataset"]
@@ -42,3 +45,21 @@ def speech_with_pauses(rng, n):
 @pytest.fixture
 def mock_dataset(tmp_path):
     return make_mock_dataset(tmp_path)
+
+
+def _corrupt_frame_header(media, video_id):
+    # make the width non-numeric in the first frame the sampler picks
+    frames = sorted((media.root / video_id / "frames").glob("*.ppm"))
+    index = sample_frames_uniform(len(frames), 4)[0]
+    data = frames[index].read_bytes()
+    frames[index].write_bytes(b"P6\nx" + data[data.index(b" "):])
+
+
+def _corrupt_audio_data(media, video_id):
+    # PCM16 data chunk one byte long: not a whole number of samples
+    payload = bytes(1)
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(payload), b"WAVE", b"fmt ", 16,
+        1, 1, 16000, 32000, 2, 16, b"data", len(payload),
+    )
+    (media.root / video_id / "audio.wav").write_bytes(header + payload)

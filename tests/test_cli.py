@@ -11,14 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from emodeid import pipeline
 from emodeid.cli import EXIT_IO, EXIT_REMOTE, EXIT_USAGE, EXIT_VALIDATION, main
 from emodeid.clients import JsonEndpoint, MockLlmClient, MockMllmClient
 from emodeid.dsp import AudioSignal
 from emodeid.pipeline import SamplingConfig, run_pipeline
-from emodeid.video import FrameImage, write_ppm
+from emodeid.video import FrameImage, read_ppm, write_ppm
 from emodeid.wavio import PCM16, read_wav, write_wav
 
-from conftest import make_mock_dataset
+from conftest import _corrupt_audio_data, _corrupt_frame_header, make_mock_dataset
 
 
 @pytest.fixture
@@ -216,6 +217,52 @@ def test_mask_frames_stops_at_first_failed_detection(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["0000.ppm"]
 
 
+class _FaceInEveryFrame(http.server.BaseHTTPRequestHandler):
+    """Finds one face, at (4, 4) and 8 pixels a side, in every frame."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        payload = json.dumps({"boxes": [{"x": 4, "y": 4, "w": 8, "h": 8}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.parametrize("source", ["boxes", "detector-url"])
+def test_mask_frames_blurs_the_faces_of_every_frame(tmp_path, source):
+    frames = tmp_path / "frames"
+    _write_frames(frames, n=4)
+    out = tmp_path / "out"
+    args = ["mask-frames", str(frames), str(out)]
+    if source == "boxes":
+        boxes = tmp_path / "boxes.jsonl"
+        boxes.write_text("".join(
+            json.dumps({"frame_index": i, "x": 4, "y": 4, "w": 8, "h": 8}) + "\n"
+            for i in range(4)
+        ))
+        assert main(args + ["--boxes", str(boxes)]) == 0
+    else:
+        server = http.server.HTTPServer(("127.0.0.1", 0), _FaceInEveryFrame)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            assert main(args + ["--detector-url", f"http://127.0.0.1:{server.server_port}/d"]) == 0
+        finally:
+            server.shutdown()
+            server.server_close()
+    for i in range(4):
+        name = f"{i:04d}.ppm"
+        before, after = read_ppm(frames / name).to_array(), read_ppm(out / name).to_array()
+        face = np.s_[4:12, 4:12]
+        assert not np.array_equal(before[face], after[face]), name
+        after = after.copy()
+        after[face] = before[face]
+        assert np.array_equal(before, after), name
+
+
 class _RecordingDetector(http.server.BaseHTTPRequestHandler):
     """Records (frame_index, first pixel byte) per request and finds no faces."""
 
@@ -271,7 +318,7 @@ def test_run_pipeline_closes_its_remote_clients(tmp_path, monkeypatch):
         "--timeout-s", "0.2", "--workers", "2",
     ])
     assert code == 0
-    assert closed == ["http://127.0.0.1:1/mllm", "http://127.0.0.1:1/judge"] * 3
+    assert closed == ["http://127.0.0.1:1/mllm", "http://127.0.0.1:1/judge"]
 
 
 def _pipeline_args(ann_path, media, out_dir, fix_path, mode="all"):
@@ -296,6 +343,49 @@ def test_run_pipeline_mock_all_modes(tmp_path, capsys):
     assert (out_dir / "ablation.csv").read_text().splitlines()[0] == (
         "mode,accuracy_pct,f_score_pct,precision_pct,mean_confidence"
     )
+
+
+def test_run_pipeline_all_modes_equals_one_run_per_mode(tmp_path):
+    _, media, _, ann_path, fix_path = make_mock_dataset(tmp_path / "data", n_videos=4)
+    _corrupt_audio_data(media, "v001")
+    _corrupt_frame_header(media, "v002")
+    assert main(_pipeline_args(ann_path, media, tmp_path / "all", fix_path)) == 0
+    for mode in ("v", "va", "van"):
+        single = tmp_path / mode
+        assert main(_pipeline_args(ann_path, media, single, fix_path, mode=mode)) == 0
+        for name in ("results.jsonl", "failures.jsonl", "summary.txt"):
+            assert (tmp_path / "all" / mode / name).read_bytes() == (
+                single / mode / name
+            ).read_bytes(), (mode, name)
+    failed = {mode: [json.loads(line)["video_id"] for line in
+                     (tmp_path / "all" / mode / "failures.jsonl").read_text().splitlines()]
+              for mode in ("v", "va", "van")}
+    assert failed == {"v": ["v002"], "va": ["v001", "v002"], "van": ["v001", "v002"]}
+
+
+def test_inputs_are_built_once_per_video_for_all_modes(tmp_path, monkeypatch):
+    calls = {"mel_spectrogram": 0, "read_ppm": 0}
+
+    def counted(name):
+        real = getattr(pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    # 3 videos, each with 4 sampled frames and 4.06 s of audio (two 2 s clips)
+    once = {"mel_spectrogram": 3 * 2, "read_ppm": 3 * 4}
+    _, media, _, ann_path, fix_path = make_mock_dataset(tmp_path / "data")
+    assert calls == once
+    calls.update(dict.fromkeys(calls, 0))
+    assert main(_pipeline_args(ann_path, media, tmp_path / "run", fix_path)) == 0
+    assert calls == once
+    for mode in ("v", "va", "van"):
+        assert (tmp_path / "run" / mode / "failures.jsonl").read_text() == ""
 
 
 def test_run_pipeline_rerun_byte_identical(tmp_path):
@@ -484,6 +574,19 @@ def test_evaluate_single_and_ablation(tmp_path, capsys):
     table = capsys.readouterr().out
     for label in ("video", "video+audio", "video+audio+nfbl"):
         assert label in table
+
+
+def test_evaluate_rejects_a_video_counted_twice(tmp_path, capsys):
+    _, media, _, ann_path, fix_path = make_mock_dataset(tmp_path / "data")
+    runs = tmp_path / "runs"
+    for name in ("a", "b"):
+        assert main(_pipeline_args(ann_path, media, runs / name, fix_path, mode="van")) == 0
+    capsys.readouterr()
+    assert main(["evaluate", str(runs), str(ann_path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "video v000 in mode van appears twice" in err
+    assert str(runs / "a" / "van" / "results.jsonl") in err
+    assert str(runs / "b" / "van" / "results.jsonl") in err
 
 
 def test_stats_command(tmp_path, capsys):

@@ -1,7 +1,6 @@
 import http.server
 import json
 import os
-import struct
 import sys
 import threading
 import time
@@ -31,6 +30,7 @@ from emodeid.errors import (
     ClientUnavailableError,
     EmptyInputError,
     JudgeParseError,
+    ParseError,
     UnknownClassError,
 )
 from emodeid.pipeline import (
@@ -52,9 +52,9 @@ from emodeid.pipeline import (
     write_results,
 )
 from emodeid.video import FrameImage, write_ppm
-from emodeid.wavio import write_wav
+from emodeid.wavio import read_wav, write_wav
 
-from conftest import make_mock_dataset
+from conftest import _corrupt_audio_data, _corrupt_frame_header, make_mock_dataset
 
 
 def test_sample_frames_long_video():
@@ -294,8 +294,8 @@ def test_batch_reads_the_prompts_once(mock_dataset, monkeypatch):
     monkeypatch.setattr(pipeline, "default_prompts", lambda: reads.append(1) or real())
     outcome = run_batch(
         records, media, SamplingConfig(frame_count=4), MockMllmClient(fixtures["mllm"]),
-        MockLlmClient(fixtures["judge"]), mode="van", workers=2,
-    )
+        MockLlmClient(fixtures["judge"]), modes=["van"], workers=2,
+    )["van"]
     assert len(outcome.results) == len(records)
     assert len(reads) == 1
 
@@ -335,8 +335,8 @@ def test_batch_records_failures_and_continues(mock_dataset, tmp_path):
     broken = dict(fixtures["mllm"])
     del broken[probe.calls[0]["digest"]]
     outcome = run_batch(
-        records, media, config, MockMllmClient(broken), judge, mode="van", workers=2
-    )
+        records, media, config, MockMllmClient(broken), judge, modes=["van"], workers=2
+    )["van"]
     assert len(outcome.failures) == 1
     failure = outcome.failures[0]
     assert (failure["video_id"], failure["mode"]) == ("v000", "van")
@@ -369,8 +369,8 @@ def test_mock_dataset_honours_max_segments(tmp_path):
     records, media, fixtures, _, _ = make_mock_dataset(tmp_path, sampling=config)
     outcome = run_batch(
         records, media, config, MockMllmClient(fixtures["mllm"]),
-        MockLlmClient(fixtures["judge"]), mode="va", workers=1,
-    )
+        MockLlmClient(fixtures["judge"]), modes=["va"], workers=1,
+    )["va"]
     assert outcome.failures == []
     assert [r.emotion for r in outcome.results] == [r.emotion for r in records]
 
@@ -383,29 +383,11 @@ def test_audio_shorter_than_one_segment_is_a_failure(mock_dataset, mode):
     write_wav(media.root / "v001" / "audio.wav", AudioSignal(np.zeros(16000), 16000))
     outcome = run_batch(
         records, media, SamplingConfig(frame_count=4), MockMllmClient(fixtures["mllm"]),
-        MockLlmClient(fixtures["judge"]), mode=mode, workers=1,
-    )
+        MockLlmClient(fixtures["judge"]), modes=[mode], workers=1,
+    )[mode]
     assert [(f["video_id"], f["mode"]) for f in outcome.failures] == [("v001", mode)]
     assert "shorter than one segment" in outcome.failures[0]["error"]
     assert [r.video_id for r in outcome.results] == ["v000", "v002"]
-
-
-def _corrupt_frame_header(media, video_id):
-    # make the width non-numeric in the first frame the sampler picks
-    frames = sorted((media.root / video_id / "frames").glob("*.ppm"))
-    index = sample_frames_uniform(len(frames), 4)[0]
-    data = frames[index].read_bytes()
-    frames[index].write_bytes(b"P6\nx" + data[data.index(b" "):])
-
-
-def _corrupt_audio_data(media, video_id):
-    # PCM16 data chunk one byte long: not a whole number of samples
-    payload = bytes(1)
-    header = struct.pack(
-        "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(payload), b"WAVE", b"fmt ", 16,
-        1, 1, 16000, 32000, 2, 16, b"data", len(payload),
-    )
-    (media.root / video_id / "audio.wav").write_bytes(header + payload)
 
 
 @pytest.mark.parametrize("corrupt", [_corrupt_frame_header, _corrupt_audio_data])
@@ -415,11 +397,39 @@ def test_batch_survives_corrupt_media(mock_dataset, corrupt):
     outcome = run_batch(
         records, media, SamplingConfig(frame_count=4),
         MockMllmClient(fixtures["mllm"]), MockLlmClient(fixtures["judge"]),
-        mode="van", workers=2,
-    )
+        modes=["van"], workers=2,
+    )["van"]
     assert [(f["video_id"], f["mode"]) for f in outcome.failures] == [("v001", "van")]
     assert str(media.root / "v001") in outcome.failures[0]["error"]
     assert [r.video_id for r in outcome.results] == ["v000", "v002"]
+
+
+def test_all_modes_attribute_media_failures_per_mode(mock_dataset):
+    # A corrupt WAV fails only the audio modes, and a corrupt frame every
+    # mode, each with the decoder's own message.
+    records, media, fixtures, _, _ = mock_dataset
+    _corrupt_audio_data(media, "v001")
+    _corrupt_frame_header(media, "v002")
+    errors = {}
+    for vid, read in (("v001", lambda: read_wav(media.root / "v001" / "audio.wav")),
+                      ("v002", lambda: media.load_frame("v002", 0))):
+        with pytest.raises(ParseError) as err:
+            read()
+        errors[vid] = str(err.value)
+    outcomes = run_batch(
+        records, media, SamplingConfig(frame_count=4), MockMllmClient(fixtures["mllm"]),
+        MockLlmClient(fixtures["judge"]), workers=2,
+    )
+    assert list(outcomes) == ["v", "va", "van"]
+    assert [r.video_id for r in outcomes["v"].results] == ["v000", "v001"]
+    expected = {"v": [("v002", errors["v002"])]}
+    for mode in ("va", "van"):
+        assert [r.video_id for r in outcomes[mode].results] == ["v000"]
+        expected[mode] = [("v001", errors["v001"]), ("v002", errors["v002"])]
+    assert {
+        mode: [(f["video_id"], f["error"]) for f in outcome.failures if f["mode"] == mode]
+        for mode, outcome in outcomes.items()
+    } == expected
 
 
 def _outcome(video_id):
@@ -547,8 +557,8 @@ def test_batch_records_malformed_reply_per_video(mock_dataset, inference_server)
     with closing(RemoteMllmClient(inference_server + "/list", timeout_s=5.0)) as mllm:
         outcome = run_batch(
             records, media, SamplingConfig(frame_count=4), mllm,
-            MockLlmClient(fixtures["judge"]), mode="v", workers=2,
-        )
+            MockLlmClient(fixtures["judge"]), modes=["v"], workers=2,
+        )["v"]
     assert outcome.results == []
     assert sorted(f["video_id"] for f in outcome.failures) == ["v000", "v001", "v002"]
     assert all("not an object" in f["error"] for f in outcome.failures)

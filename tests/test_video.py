@@ -5,6 +5,7 @@ from contextlib import closing
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from emodeid.errors import DetectorUnavailableError, InvalidParamError, ParseError
 from emodeid.video import (
@@ -16,6 +17,7 @@ from emodeid.video import (
     clip_box,
     default_sigma_policy,
     gaussian_kernel,
+    mask_frame,
     mask_frames,
     read_ppm,
     write_ppm,
@@ -124,6 +126,45 @@ def test_mask_frames_overlapping_boxes_sequential_deterministic():
     manual = blur_region(frame, boxes[0], default_sigma_policy(boxes[0]))
     manual = blur_region(manual, boxes[1], default_sigma_policy(boxes[1]))
     assert once.pixels == manual.pixels
+
+
+def _convolve_oracle(arr, box, sigma):
+    """The blur as two edge-clamped ``ndimage`` convolutions, rows first."""
+    clipped = clip_box(box, arr.shape[1], arr.shape[0])
+    if clipped is None:
+        return arr
+    kernel = gaussian_kernel(sigma)
+    region = np.s_[clipped.y : clipped.y + clipped.h, clipped.x : clipped.x + clipped.w]
+    rows = ndimage.convolve1d(arr[region].astype(np.float64), kernel, axis=1, mode="nearest")
+    out = arr.copy()
+    out[region] = np.clip(np.rint(ndimage.convolve1d(rows, kernel, axis=0, mode="nearest")), 0, 255)
+    return out
+
+
+def test_blur_matches_the_convolution_oracle_byte_for_byte():
+    rng = np.random.default_rng(4)
+    for trial in range(300):
+        height, width = (int(v) for v in rng.integers(1, 240, size=2))
+        if trial % 10 == 0:
+            arr = np.full((height, width, 3), rng.integers(0, 256), dtype=np.uint8)
+        else:
+            arr = rng.integers(0, 256, (height, width, 3), dtype=np.uint8)
+        # Sides 1-220, often reaching past the frame's edges.
+        w, h = (int(v) for v in rng.integers(1, 221, size=2))
+        box = FaceBox(0, int(rng.integers(-w, width)), int(rng.integers(-h, height)), w, h)
+        sigma = default_sigma_policy(box)
+        out = blur_region(FrameImage.from_array(arr), box, sigma).to_array()
+        np.testing.assert_array_equal(out, _convolve_oracle(arr, box, sigma), err_msg=str(box))
+
+
+def test_mask_frame_blurs_every_box_in_listed_order():
+    frame = checkerboard(96, 64)
+    boxes = [FaceBox(3, 4, 4, 30, 20), FaceBox(3, 20, 10, 40, 40), FaceBox(3, 80, 50, 30, 30)]
+    expected = frame.to_array()
+    for box in boxes:
+        expected = _convolve_oracle(expected, box, default_sigma_policy(box))
+    np.testing.assert_array_equal(mask_frame(frame, boxes).to_array(), expected)
+    assert mask_frame(frame, []).pixels == frame.pixels
 
 
 def test_ppm_round_trip(tmp_path):
