@@ -18,7 +18,7 @@ from emodeid.cli import main as cli_main
 from emodeid.dsp import FrameParams
 from emodeid.pipeline import SamplingConfig
 from emodeid.synthetic import make_mock_dataset
-from emodeid.video import FaceBox, mask_frame, read_ppm
+from emodeid.video import FaceBox, list_frames, mask_frame, read_ppm
 from emodeid.wavio import read_wav
 
 
@@ -50,7 +50,7 @@ def main(workdir, videos, mcadams_lambda, seed):
             f"rel-L2 distance to original {dist:.3f}"
         )
 
-        frame = read_ppm(sorted((media.root / vid / "frames").glob("*.ppm"))[0])
+        frame = read_ppm(list_frames(media.root / vid / "frames")[0])
         box = FaceBox(0, 1, 1, 4, 4)
         masked = mask_frame(frame, [box])
         arr, orig = masked.to_array(), frame.to_array()

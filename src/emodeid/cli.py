@@ -36,7 +36,7 @@ from .pipeline import (
     run_batch,
     write_results,
 )
-from .video import RemoteDetector, SidecarDetector, mask_frame, read_ppm, write_ppm
+from .video import RemoteDetector, SidecarDetector, list_frames, mask_frame, read_ppm, write_ppm
 from .wavio import read_wav, write_wav
 
 EXIT_USAGE = 1
@@ -125,7 +125,7 @@ def cmd_mask_frames(frames_dir, output_dir, boxes_path, detector_url):
         "mask-frames",
         {"boxes": str(boxes_path) if boxes_path else None, "detector_url": detector_url},
     )
-    paths = sorted(frames_dir.glob("*.ppm"), key=lambda p: p.name)
+    paths = list_frames(frames_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     try:
         for index, path in enumerate(paths):
@@ -182,7 +182,7 @@ def _build_clients(fixtures, mllm_endpoint, judge_endpoint, auth_token, timeout_
 @click.option("--audio-segment-s", type=float, default=SamplingConfig.audio_segment_s)
 @click.option("--mel-bins", type=int, default=SamplingConfig.mel_bins)
 @click.option("--max-segments", type=int, default=None)
-@click.option("--workers", type=int, default=lambda: os.cpu_count() or 4)
+@click.option("--workers", type=click.IntRange(min=1), default=lambda: os.cpu_count() or 4)
 @_config_option
 def cmd_run_pipeline(annotations_path, media_root, output_dir, mock_fixtures, auth_token, **cfg):
     """Run the two-stage inference over every annotated video."""
@@ -198,21 +198,21 @@ def cmd_run_pipeline(annotations_path, media_root, output_dir, mock_fixtures, au
     # The token is a secret, so it is neither echoed nor written.
     echo_cfg = dict(cfg, mock_fixtures=str(mock_fixtures) if mock_fixtures else None)
     _echo_config("run-pipeline", echo_cfg)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    with atomic_path(output_dir / "config.json") as tmp:
-        tmp.write_text(json.dumps(echo_cfg, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-    modes = list(MODES) if cfg["mode"] == "all" else [cfg["mode"]]
-    labels = {r.video_id: r.emotion for r in records}
+    # Client settings are checked before anything is written.
     mllm, judge = _build_clients(
         fixtures, cfg["mllm_endpoint"], cfg["judge_endpoint"],
         auth_token, cfg["timeout_s"], cfg["max_attempts"],
     )
     try:
+        output_dir.mkdir(parents=True, exist_ok=True)
+        with atomic_path(output_dir / "config.json") as tmp:
+            tmp.write_text(json.dumps(echo_cfg, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        modes = list(MODES) if cfg["mode"] == "all" else [cfg["mode"]]
         outcomes = run_batch(records, media, sampling, mllm, judge, modes, workers=cfg["workers"])
     finally:
         mllm.close()
         judge.close()
+    labels = {r.video_id: r.emotion for r in records}
     per_mode = {}
     for m, outcome in outcomes.items():
         mode_dir = output_dir / m

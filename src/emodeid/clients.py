@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import math
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -17,7 +18,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 import requests
 
-from .errors import ClientUnavailableError, ResponseEmptyError
+from .errors import ClientUnavailableError, InvalidParamError, ResponseEmptyError
 
 
 def encode_array(arr: np.ndarray) -> dict:
@@ -82,6 +83,10 @@ class JsonEndpoint:
 
     def __init__(self, url, auth_token=None, timeout_s=120.0, max_attempts=3, backoff_s=1.0,
                  error=ClientUnavailableError):
+        if max_attempts < 1:
+            raise InvalidParamError(f"max_attempts must be at least 1, not {max_attempts}")
+        if not 0.0 < timeout_s < math.inf:
+            raise InvalidParamError(f"timeout_s must be positive and finite, not {timeout_s}")
         self.url = url
         self.headers = {"Authorization": f"Bearer {auth_token}"} if auth_token else {}
         self.timeout_s = timeout_s

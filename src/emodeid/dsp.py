@@ -265,12 +265,6 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filter_centers(bins: int, sample_rate_hz: int) -> np.ndarray:
-    """Center frequencies (Hz) of the triangular mel filters, 0 to f_s/2."""
-    edges = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate_hz / 2.0), bins + 2))
-    return edges[1:-1]
-
-
 @functools.lru_cache(maxsize=16)
 def mel_filterbank(bins: int, nfft: int, sample_rate_hz: int) -> np.ndarray:
     """Triangular mel filterbank of shape (bins, nfft//2 + 1).

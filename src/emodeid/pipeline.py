@@ -31,9 +31,8 @@ from .errors import (
     InvalidParamError,
     JudgeParseError,
     ParseError,
-    UnknownClassError,
 )
-from .video import FrameImage, read_ppm
+from .video import FrameImage, list_frames, read_ppm
 from .wavio import read_wav
 
 MODES = ("v", "va", "van")
@@ -129,25 +128,19 @@ def segment_audio(audio: AudioSignal, seg_s: float) -> list[AudioSignal]:
     ]
 
 
-def render_nfbl_section(clips: list[NfblClip], registry=NFBL_REGISTRY) -> str:
+def render_nfbl_section(clips: list[NfblClip]) -> str:
     """Deterministic text rendering of clips, sorted by start time."""
     if not clips:
         return NO_NFBL_LINE
     lines = ["Observed body language:"]
     for clip in sorted(clips, key=lambda c: (c.start_s, c.end_s, c.class_id)):
-        if clip.class_id not in registry:
-            raise UnknownClassError(f"unknown body-language class: {clip.class_id}")
-        name = registry[clip.class_id].name
+        name = NFBL_REGISTRY[clip.class_id].name
         lines.append(f"- {name} from {clip.start_s:.1f}s to {clip.end_s:.1f}s")
     return "\n".join(lines)
 
 
-def build_mllm_prompt(
-    clips: list[NfblClip], registry=NFBL_REGISTRY, template: str | None = None
-) -> str:
-    if template is None:
-        template = default_prompts().mllm_template
-    return template.format(nfbl_section=render_nfbl_section(clips, registry))
+def build_mllm_prompt(clips: list[NfblClip], template: str) -> str:
+    return template.format(nfbl_section=render_nfbl_section(clips))
 
 
 def parse_judge_reply(reply: str) -> tuple[Emotion, float, bool]:
@@ -164,14 +157,10 @@ def parse_judge_reply(reply: str) -> tuple[Emotion, float, bool]:
     return emotion, min(max(raw, 0.0), 10.0), clamped
 
 
-def judge_emotion(
-    client: LlmClient, mllm_text: str, template: str | None = None
-) -> tuple[Emotion, float, bool]:
+def judge_emotion(client: LlmClient, mllm_text: str, template: str) -> tuple[Emotion, float, bool]:
     """Judge the descriptive text; one reformat retry before giving up."""
     if not mllm_text.strip():
         raise EmptyInputError("descriptive text is empty")
-    if template is None:
-        template = default_prompts().judge_template
     prompt = template.format(response=mllm_text)
     try:
         return parse_judge_reply(client.complete(prompt))
@@ -193,11 +182,9 @@ class DirectoryMediaSource:
     def _frame_paths(self, video_id: str) -> list[Path]:
         paths = self._listings.get(video_id)
         if paths is None:
-            # All paths share one parent, so sorting by name gives path order
-            # without Path comparisons. Threads listing one video at once all
-            # keep the first listing.
-            listing = (self.root / video_id / "frames").glob("*.ppm")
-            paths = self._listings.setdefault(video_id, sorted(listing, key=lambda p: p.name))
+            # Threads listing one video at once all keep the first listing.
+            listing = list_frames(self.root / video_id / "frames")
+            paths = self._listings.setdefault(video_id, listing)
         return paths
 
     def frame_count(self, video_id: str) -> int:
@@ -243,29 +230,16 @@ def mode_request(record: VideoRecord, inputs: tuple, mode: str, prompts: PromptB
     elif isinstance(spectrograms, EmodeidError):
         raise spectrograms
     clips = record.clips if mode == "van" else []
-    return build_mllm_prompt(clips, template=prompts.mllm_template), frames, spectrograms
+    return build_mllm_prompt(clips, prompts.mllm_template), frames, spectrograms
 
 
-def build_mllm_request(record: VideoRecord, media: DirectoryMediaSource, config: SamplingConfig,
-                       mode: str, prompts: PromptBundle) -> tuple[str, list, list]:
-    """The prompt, sampled frames and mel spectrograms sent for one video."""
-    inputs = load_video_inputs(record, media, config, audio=mode != "v")
-    return mode_request(record, inputs, mode, prompts)
-
-
-def run_pipeline(record: VideoRecord, media: DirectoryMediaSource, config: SamplingConfig,
-                 mllm: MllmClient, judge: LlmClient, mode: str = "van",
-                 prompts: PromptBundle | None = None,
-                 inputs: tuple | None = None) -> PipelineResult:
-    """End-to-end inference for one video in one ablation mode, on ``inputs`` if given."""
+def run_pipeline(record: VideoRecord, inputs: tuple, mode: str, mllm: MllmClient,
+                 judge: LlmClient, prompts: PromptBundle) -> PipelineResult:
+    """End-to-end inference for one video in one ablation mode, on the
+    ``inputs`` that ``load_video_inputs`` built for it."""
     if mode not in MODES:
         raise InvalidParamError(f"mode must be one of {MODES}")
-    if prompts is None:
-        prompts = default_prompts()
     started = time.monotonic()
-
-    if inputs is None:
-        inputs = load_video_inputs(record, media, config, audio=mode != "v")
     text = mllm.generate(*mode_request(record, inputs, mode, prompts))
     emotion, confidence, clamped = judge_emotion(judge, text, prompts.judge_template)
 
@@ -296,7 +270,7 @@ def run_batch(records: list[VideoRecord], media: DirectoryMediaSource, config: S
         try:
             if isinstance(inputs, EmodeidError):
                 raise inputs
-            return run_pipeline(record, media, config, mllm, judge, mode, prompts, inputs)
+            return run_pipeline(record, inputs, mode, mllm, judge, prompts)
         except EmodeidError as exc:
             return {"video_id": record.video_id, "mode": mode, "error": str(exc)}
 
@@ -308,7 +282,7 @@ def run_batch(records: list[VideoRecord], media: DirectoryMediaSource, config: S
         return [attempt(record, mode, inputs) for mode in modes]
 
     outcomes = {mode: BatchOutcome() for mode in modes}
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         for items in pool.map(one, records):
             for mode, item in zip(modes, items):
                 outcome = outcomes[mode]

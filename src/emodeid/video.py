@@ -215,6 +215,13 @@ def mask_frames(frames, boxes):
     return [mask_frame(frame, by_frame.get(idx, [])) for idx, frame in enumerate(frames)]
 
 
+def list_frames(directory: Path) -> list[Path]:
+    """The ``*.ppm`` frames of a directory; file-name order defines frame indices."""
+    # All paths share one parent, so sorting by name gives path order
+    # without Path comparisons.
+    return sorted(directory.glob("*.ppm"), key=lambda p: p.name)
+
+
 def read_ppm(path: str | Path) -> FrameImage:
     """Read a binary (P6) portable pixel map with maxval 255."""
     data = Path(path).read_bytes()

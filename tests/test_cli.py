@@ -15,7 +15,7 @@ from emodeid import pipeline
 from emodeid.cli import EXIT_IO, EXIT_REMOTE, EXIT_USAGE, EXIT_VALIDATION, main
 from emodeid.clients import JsonEndpoint, MockLlmClient, MockMllmClient
 from emodeid.dsp import AudioSignal
-from emodeid.pipeline import SamplingConfig, run_pipeline
+from emodeid.pipeline import SamplingConfig, default_prompts, load_video_inputs, run_pipeline
 from emodeid.video import FrameImage, read_ppm, write_ppm
 from emodeid.wavio import PCM16, read_wav, write_wav
 
@@ -432,6 +432,8 @@ def test_run_pipeline_never_reveals_the_token(tmp_path, capsys):
         ({"audio_segment_s": "nan"}, EXIT_VALIDATION),
         ({"workers": [2]}, EXIT_VALIDATION),
         (["frame_count"], EXIT_VALIDATION),
+        ({"workers": "0"}, EXIT_USAGE),
+        ({"workers": "-3"}, EXIT_USAGE),
     ],
 )
 def test_run_pipeline_config_values_are_checked(tmp_path, doc, expected):
@@ -466,13 +468,32 @@ def test_run_pipeline_rejects_bad_sampling_before_any_video(tmp_path, capsys, fl
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--max-attempts", "0"], ["--timeout-s", "0"], ["--timeout-s", "-1"],
+     ["--timeout-s", "nan"], ["--timeout-s", "inf"]],
+    ids=["max-attempts-0", "timeout-0", "timeout-minus-1", "timeout-nan", "timeout-inf"],
+)
+def test_run_pipeline_rejects_bad_remote_settings_before_any_video(tmp_path, capsys, flags):
+    _, media, _, ann_path, _ = make_mock_dataset(tmp_path / "data")
+    out_dir = tmp_path / "run"
+    code = main([
+        "run-pipeline", str(ann_path), str(media.root), str(out_dir), "--mode", "v",
+        "--mllm-endpoint", "http://127.0.0.1:1/mllm",
+        "--judge-endpoint", "http://127.0.0.1:1/judge", *flags,
+    ])
+    assert code == EXIT_VALIDATION
+    assert "validation error" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_run_pipeline_missing_fixture_is_failure(tmp_path):
     records, media, fixtures, ann_path, _ = make_mock_dataset(tmp_path / "data")
     # find the digest one video uses in this mode, then drop that fixture
     probe = MockMllmClient(fixtures["mllm"])
+    inputs = load_video_inputs(records[0], media, SamplingConfig(frame_count=4), audio=True)
     run_pipeline(
-        records[0], media, SamplingConfig(frame_count=4),
-        probe, MockLlmClient(fixtures["judge"]), mode="van",
+        records[0], inputs, "van", probe, MockLlmClient(fixtures["judge"]), default_prompts()
     )
     victim = probe.calls[0]["digest"]
     broken = {
@@ -499,6 +520,7 @@ def test_run_pipeline_requires_client_choice(tmp_path, capsys):
         "run-pipeline", str(ann_path), str(media.root), str(out_dir), "--mode", "v",
     ])
     assert code == EXIT_USAGE
+    assert not out_dir.exists()
 
 
 def _annotations_file(tmp_path, data):

@@ -29,9 +29,9 @@ from emodeid.dsp import AudioSignal
 from emodeid.errors import (
     ClientUnavailableError,
     EmptyInputError,
+    InvalidParamError,
     JudgeParseError,
     ParseError,
-    UnknownClassError,
 )
 from emodeid.pipeline import (
     NO_NFBL_LINE,
@@ -40,9 +40,10 @@ from emodeid.pipeline import (
     PipelineResult,
     SamplingConfig,
     build_mllm_prompt,
-    build_mllm_request,
     default_prompts,
     judge_emotion,
+    load_video_inputs,
+    mode_request,
     parse_judge_reply,
     read_results,
     run_batch,
@@ -51,7 +52,7 @@ from emodeid.pipeline import (
     segment_audio,
     write_results,
 )
-from emodeid.video import FrameImage, write_ppm
+from emodeid.video import FrameImage, RemoteDetector, write_ppm
 from emodeid.wavio import read_wav, write_wav
 
 from conftest import _corrupt_audio_data, _corrupt_frame_header, make_mock_dataset
@@ -90,32 +91,30 @@ def test_segment_audio_exact_and_short():
         segment_audio(AudioSignal(np.zeros(0), 16000), 2.0)
 
 
+def _prompt(clips):
+    return build_mllm_prompt(clips, default_prompts().mllm_template)
+
+
 def test_prompt_zero_clips():
-    prompt = build_mllm_prompt([])
+    prompt = _prompt([])
     assert NO_NFBL_LINE in prompt
 
 
 def test_prompt_renders_clip():
-    prompt = build_mllm_prompt([NfblClip("v", "N9", 12.0, 15.5)])
+    prompt = _prompt([NfblClip("v", "N9", 12.0, 15.5)])
     assert "Biting nails from 12.0s to 15.5s" in prompt
 
 
 def test_prompt_sorts_clips_by_start():
     clips = [NfblClip("v", "N5", 20.0, 21.0), NfblClip("v", "N9", 3.0, 4.0)]
-    prompt = build_mllm_prompt(clips)
+    prompt = _prompt(clips)
     assert prompt.index("Biting nails") < prompt.index("Covering face")
-
-
-def test_prompt_unknown_class():
-    registry = {}
-    with pytest.raises(UnknownClassError):
-        build_mllm_prompt([NfblClip("v", "N9", 0.0, 1.0)], registry=registry)
 
 
 def test_prompt_ablation_containment():
     clips = [NfblClip("v", "N9", 1.0, 2.0)]
-    without = build_mllm_prompt([])
-    with_nfbl = build_mllm_prompt(clips)
+    without = _prompt([])
+    with_nfbl = _prompt(clips)
     base = without.replace(NO_NFBL_LINE, "").strip()
     assert base in with_nfbl
 
@@ -159,7 +158,9 @@ class ScriptedLlm(MockLlmClient):
 
 def test_judge_retries_once_with_stricter_instruction():
     client = ScriptedLlm(["gibberish", "EMOTION: negative\nCONFIDENCE: 4"])
-    emotion, confidence, _ = judge_emotion(client, "some description")
+    emotion, confidence, _ = judge_emotion(
+        client, "some description", default_prompts().judge_template
+    )
     assert (emotion, confidence) == (Emotion.NEGATIVE, 4.0)
     assert len(client.prompts) == 2
     assert "could not be parsed" in client.prompts[1]
@@ -168,7 +169,7 @@ def test_judge_retries_once_with_stricter_instruction():
 def test_judge_fails_after_retry():
     client = ScriptedLlm(["gibberish", "still gibberish"])
     with pytest.raises(JudgeParseError):
-        judge_emotion(client, "some description")
+        judge_emotion(client, "some description", default_prompts().judge_template)
 
 
 def test_request_digest_stable():
@@ -221,6 +222,16 @@ def test_fixture_miss_names_the_digest_scheme():
     assert "regenerate fixture files" in str(err.value)
 
 
+def _request(record, media, config, mode):
+    inputs = load_video_inputs(record, media, config, audio=mode != "v")
+    return mode_request(record, inputs, mode, default_prompts())
+
+
+def _run(record, media, config, mllm, judge, mode):
+    inputs = load_video_inputs(record, media, config, audio=mode != "v")
+    return run_pipeline(record, inputs, mode, mllm, judge, default_prompts())
+
+
 def _frames_video(root, video_id, count, creation_order=None):
     frames_dir = root / video_id / "frames"
     frames_dir.mkdir(parents=True)
@@ -241,9 +252,7 @@ def test_request_lists_the_frame_directory_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Path, "glob", counting_glob)
     media = DirectoryMediaSource(tmp_path)
-    _, frames, _ = build_mllm_request(
-        record, media, SamplingConfig(frame_count=32), "v", default_prompts()
-    )
+    _, frames, _ = _request(record, media, SamplingConfig(frame_count=32), "v")
     assert globs == [(tmp_path / "long" / "frames", "*.ppm")]
     assert [int(f[0, 0, 0]) for f in frames] == sample_frames_uniform(50, 32)
 
@@ -280,9 +289,7 @@ def test_frame_count_is_capped_at_the_video_length(tmp_path):
     record = _frames_video(tmp_path, "short", 6)
     media = DirectoryMediaSource(tmp_path)
     started = time.monotonic()
-    _, frames, _ = build_mllm_request(
-        record, media, SamplingConfig(frame_count=10**8), "v", default_prompts()
-    )
+    _, frames, _ = _request(record, media, SamplingConfig(frame_count=10**8), "v")
     assert time.monotonic() - started < 1.0
     assert [int(f[0, 0, 0]) for f in frames] == list(range(6))
 
@@ -307,9 +314,7 @@ def test_run_pipeline_deterministic(mock_dataset):
     for _ in range(2):
         mllm = MockMllmClient(fixtures["mllm"])
         judge = MockLlmClient(fixtures["judge"])
-        results.append(
-            run_pipeline(records[0], media, config, mllm, judge, mode="van")
-        )
+        results.append(_run(records[0], media, config, mllm, judge, "van"))
     assert results[0].to_record() == results[1].to_record()
     assert results[0].timing_s == 0.0
     assert results[0].emotion is records[0].emotion
@@ -320,7 +325,7 @@ def test_video_only_mode_skips_audio(mock_dataset):
     records, media, fixtures, _, _ = mock_dataset
     mllm = MockMllmClient(fixtures["mllm"])
     judge = MockLlmClient(fixtures["judge"])
-    run_pipeline(records[0], media, SamplingConfig(frame_count=4), mllm, judge, mode="v")
+    _run(records[0], media, SamplingConfig(frame_count=4), mllm, judge, "v")
     assert all(call["n_spectrograms"] == 0 for call in mllm.calls)
 
 
@@ -331,7 +336,7 @@ def test_batch_records_failures_and_continues(mock_dataset, tmp_path):
     # drop v000's van transcript: it must fail without sinking the batch.
     # v000 has an NFBL clip, so its van request differs from its va request.
     probe = MockMllmClient(fixtures["mllm"])
-    run_pipeline(records[0], media, config, probe, judge, mode="van")
+    _run(records[0], media, config, probe, judge, "van")
     broken = dict(fixtures["mllm"])
     del broken[probe.calls[0]["digest"]]
     outcome = run_batch(
@@ -356,7 +361,7 @@ def test_mock_dataset_keeps_first_reply_of_a_shared_request(mock_dataset):
     config = SamplingConfig(frame_count=4)
     judge = MockLlmClient(fixtures["judge"])
     texts = {
-        mode: run_pipeline(
+        mode: _run(
             records[1], media, config, MockMllmClient(fixtures["mllm"]), judge, mode
         ).mllm_text
         for mode in ("va", "van")
@@ -535,6 +540,18 @@ def test_remote_client_unreachable_after_retries():
         client.complete("p")
 
 
+@pytest.mark.parametrize(
+    ("max_attempts", "timeout_s"),
+    [(0, 1.0), (-1, 1.0), (3, 0.0), (3, -1.0), (3, float("nan")), (3, float("inf"))],
+)
+def test_endpoint_rejects_out_of_range_settings(max_attempts, timeout_s):
+    with pytest.raises(InvalidParamError):
+        JsonEndpoint("http://127.0.0.1:1/x", timeout_s=timeout_s, max_attempts=max_attempts)
+    if max_attempts == 3:
+        with pytest.raises(InvalidParamError):
+            RemoteDetector("http://127.0.0.1:1/detect", timeout_s=timeout_s)
+
+
 def test_remote_client_does_not_retry_4xx(inference_server):
     client = RemoteLlmClient(
         inference_server + "/missing", timeout_s=5.0, max_attempts=3, backoff_s=0.01
@@ -596,7 +613,6 @@ def test_endpoint_close_closes_every_threads_session(monkeypatch):
 
 
 def test_prompt_bundle_validation():
-    from emodeid.errors import InvalidParamError
     from emodeid.pipeline import PromptBundle
 
     with pytest.raises(InvalidParamError):
