@@ -8,6 +8,7 @@ effective configuration, and outputs are written atomically.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import sys
@@ -119,7 +120,7 @@ def cmd_mask_frames(frames_dir, output_dir, boxes_path, detector_url):
     if (boxes_path is None) == (detector_url is None):
         raise click.UsageError("provide exactly one of --boxes or --detector-url")
     detector = (
-        SidecarDetector(boxes_path) if boxes_path else RemoteDetector(detector_url)
+        SidecarDetector(boxes_path) if boxes_path else RemoteDetector(detector_url, timeout_s=30.0)
     )
     _echo_config(
         "mask-frames",
@@ -279,12 +280,12 @@ def cmd_stats(annotations_path, histogram_csv):
         cls = ann.NFBL_REGISTRY[cid]
         click.echo(f"  {cid:<4} {cls.name:<52} {hist[cid]}")
     if histogram_csv is not None:
-        lines = ["class_id,name,category,count"] + [
-            f"{cid},{ann.NFBL_REGISTRY[cid].name!r},{ann.NFBL_REGISTRY[cid].category.value},{hist[cid]}"
-            for cid in sorted(hist, key=lambda c: int(c[1:]))
-        ]
-        with atomic_path(histogram_csv) as tmp:
-            tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with atomic_path(histogram_csv) as tmp, tmp.open("w", encoding="utf-8", newline="") as f:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(["class_id", "name", "category", "count"])
+            for cid in sorted(hist, key=lambda c: int(c[1:])):
+                cls = ann.NFBL_REGISTRY[cid]
+                writer.writerow([cid, cls.name, cls.category.value, hist[cid]])
         click.echo(f"wrote {histogram_csv}")
 
 

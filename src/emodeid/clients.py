@@ -78,11 +78,13 @@ class JsonEndpoint:
     Network errors, undecodable replies and 5xx are retried with exponential
     backoff; a 4xx, or a 200 whose JSON is not an object, is raised at once.
     Each thread gets its own session, as ``run_batch`` calls clients from a
-    pool; ``close`` closes them all.
+    pool; ``close`` closes them all. The remote clients and detector subclass
+    it and add only their request method.
     """
 
-    def __init__(self, url, auth_token=None, timeout_s=120.0, max_attempts=3, backoff_s=1.0,
-                 error=ClientUnavailableError):
+    error = ClientUnavailableError
+
+    def __init__(self, url, auth_token=None, timeout_s=120.0, max_attempts=3, backoff_s=1.0):
         if max_attempts < 1:
             raise InvalidParamError(f"max_attempts must be at least 1, not {max_attempts}")
         if not 0.0 < timeout_s < math.inf:
@@ -92,7 +94,6 @@ class JsonEndpoint:
         self.timeout_s = timeout_s
         self.max_attempts = max_attempts
         self.backoff_s = backoff_s
-        self.error = error
         self._local = threading.local()
         self._sessions: list[requests.Session] = []
         self._lock = threading.Lock()
@@ -170,26 +171,14 @@ class LlmClient(ABC):
         """Release open connections, if the client holds any."""
 
 
-class RemoteMllmClient(MllmClient):
-    def __init__(self, endpoint, auth_token=None, timeout_s=120.0, max_attempts=3, backoff_s=1.0):
-        self.endpoint = JsonEndpoint(endpoint, auth_token, timeout_s, max_attempts, backoff_s)
-
+class RemoteMllmClient(JsonEndpoint, MllmClient):
     def generate(self, prompt: str, frames, spectrograms) -> str:
-        return self.endpoint.post_for_text(mllm_request_payload(prompt, frames, spectrograms))
-
-    def close(self) -> None:
-        self.endpoint.close()
+        return self.post_for_text(mllm_request_payload(prompt, frames, spectrograms))
 
 
-class RemoteLlmClient(LlmClient):
-    def __init__(self, endpoint, auth_token=None, timeout_s=60.0, max_attempts=3, backoff_s=1.0):
-        self.endpoint = JsonEndpoint(endpoint, auth_token, timeout_s, max_attempts, backoff_s)
-
+class RemoteLlmClient(JsonEndpoint, LlmClient):
     def complete(self, prompt: str) -> str:
-        return self.endpoint.post_for_text({"prompt": prompt})
-
-    def close(self) -> None:
-        self.endpoint.close()
+        return self.post_for_text({"prompt": prompt})
 
 
 class FixtureReplay:

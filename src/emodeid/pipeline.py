@@ -20,8 +20,6 @@ from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from .annotations import NFBL_REGISTRY, Emotion, NfblClip, VideoRecord
 from .clients import LlmClient, MllmClient
 from .dsp import STFT_WIN_S, AudioSignal, mel_spectrogram
@@ -329,7 +327,8 @@ def write_results(out_dir: str | Path, outcome: BatchOutcome) -> None:
 
 def read_results(path: str | Path) -> list[dict]:
     """The records of a results.jsonl file; a line that is not a result record
-    (string video_id and mode, known emotion, numeric confidence) raises ParseError."""
+    (string video_id and mode, known emotion, a confidence in [0, 10] as
+    ``parse_judge_reply`` gives) raises ParseError."""
     records = []
     for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
         if not line.strip():
@@ -337,9 +336,14 @@ def read_results(path: str | Path) -> list[dict]:
         try:
             rec = json.loads(line)
             Emotion(rec["emotion"])
-            if not (isinstance(rec["video_id"], str) and isinstance(rec["mode"], str)
-                    and isinstance(rec["confidence"], (int, float))):
-                raise TypeError("video_id and mode must be strings, confidence a number")
+            if not (isinstance(rec["video_id"], str) and isinstance(rec["mode"], str)):
+                raise TypeError("video_id and mode must be strings")
+            confidence = rec["confidence"]
+            # bool is an int, and NaN fails every comparison.
+            if isinstance(confidence, bool) or not (
+                isinstance(confidence, (int, float)) and 0.0 <= confidence <= 10.0
+            ):
+                raise ValueError(f"confidence must be a number in [0, 10], not {confidence!r}")
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ParseError(f"bad result record: {exc!r}", context=f"{path}: line {lineno}")
         records.append(rec)

@@ -110,7 +110,7 @@ class SidecarDetector(FaceDetector):
         return list(self.boxes.get(frame_index, []))
 
 
-class RemoteDetector(FaceDetector):
+class RemoteDetector(JsonEndpoint, FaceDetector):
     """Boxes fetched from an external detection service.
 
     The request carries one base64-encoded frame plus shape metadata; the
@@ -118,14 +118,10 @@ class RemoteDetector(FaceDetector):
     failures are retried like the inference clients' (see ``JsonEndpoint``).
     """
 
-    def __init__(self, endpoint: str, timeout_s: float = 30.0):
-        self.endpoint = JsonEndpoint(endpoint, timeout_s=timeout_s, error=DetectorUnavailableError)
-
-    def close(self) -> None:
-        self.endpoint.close()
+    error = DetectorUnavailableError
 
     def detect(self, frame: FrameImage, frame_index: int) -> list[FaceBox]:
-        body = self.endpoint.post({
+        body = self.post({
             "frame_index": frame_index,
             "width": frame.width,
             "height": frame.height,
@@ -138,9 +134,7 @@ class RemoteDetector(FaceDetector):
                 for b in body.get("boxes", [])
             ]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DetectorUnavailableError(
-                f"{self.endpoint.url} returned a malformed box: {exc!r}"
-            ) from exc
+            raise self.error(f"{self.url} returned a malformed box: {exc!r}") from exc
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:

@@ -1,4 +1,7 @@
+import http.server
+import json
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -45,6 +48,39 @@ def speech_with_pauses(rng, n):
 @pytest.fixture
 def mock_dataset(tmp_path):
     return make_mock_dataset(tmp_path)
+
+
+@pytest.fixture
+def json_server():
+    """Start loopback JSON services: ``json_server(route)`` returns the base URL
+    of a server that answers each POST with ``route(path, body)``, a
+    ``(status, reply)`` pair whose reply of None sends an empty body. The
+    servers stop when the test ends."""
+    servers = []
+
+    def start(route):
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                status, reply = route(self.path, body)
+                payload = b"" if reply is None else json.dumps(reply).encode()
+                self.send_response(status)
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+
+            def log_message(self, *args):
+                pass
+
+        server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+        servers.append(server)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        return f"http://127.0.0.1:{server.server_port}"
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
 
 
 def _corrupt_frame_header(media, video_id):

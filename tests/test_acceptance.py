@@ -5,13 +5,10 @@ lines. Each test prints "PASS <criterion>" on success; a failure surfaces
 as a normal pytest failure for that criterion.
 """
 
-import json
 import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
-from scipy.signal import lfilter
 
 from emodeid.annotations import (
     Emotion,
@@ -21,13 +18,11 @@ from emodeid.annotations import (
     split_dataset,
 )
 from emodeid.anonymize import AnonymizationParams, anonymize_mcadams, warp_pole_angles
-from emodeid.clients import MockLlmClient, MockMllmClient
 from emodeid.cli import main
 from emodeid.dsp import (
     AudioSignal,
     _check_conjugate_closed,
     FrameParams,
-    frame_signal,
     lpc_levinson,
     lpc_residual,
     mel_spectrogram,

@@ -1,18 +1,19 @@
 import base64
-import http.server
+import csv
 import json
 import os
 import tempfile
-import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from emodeid import pipeline
-from emodeid.cli import EXIT_IO, EXIT_REMOTE, EXIT_USAGE, EXIT_VALIDATION, main
+from emodeid import clients, pipeline
+from emodeid.annotations import NFBL_REGISTRY, nfbl_histogram
+from emodeid.cli import EXIT_REMOTE, EXIT_USAGE, EXIT_VALIDATION, main
 from emodeid.clients import JsonEndpoint, MockLlmClient, MockMllmClient
 from emodeid.dsp import AudioSignal
 from emodeid.pipeline import SamplingConfig, default_prompts, load_video_inputs, run_pipeline
@@ -170,70 +171,36 @@ def test_mask_frames_empty_boxes_identical(tmp_path):
         assert (out / name).read_bytes() == (frames / name).read_bytes()
 
 
-def test_mask_frames_unreachable_detector(tmp_path, capsys):
+def test_mask_frames_unreachable_detector(tmp_path, capsys, monkeypatch):
     frames = tmp_path / "frames"
     _write_frames(frames, n=1)
     out = tmp_path / "out"
+    sleeps = []
+    monkeypatch.setattr(clients, "time", SimpleNamespace(sleep=sleeps.append))
     code = main([
         "mask-frames", str(frames), str(out), "--detector-url", "http://127.0.0.1:1/d",
     ])
     assert code == EXIT_REMOTE
     assert "remote-client error" in capsys.readouterr().err
+    assert sleeps == [1.0, 2.0]
 
 
-class _DetectorFailingFromFrame1(http.server.BaseHTTPRequestHandler):
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        if body["frame_index"] >= 1:
-            self.send_response(400)
-            self.end_headers()
-            return
-        payload = json.dumps({"boxes": [{"x": 4, "y": 4, "w": 8, "h": 8}]}).encode()
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
+_FACE = {"boxes": [{"x": 4, "y": 4, "w": 8, "h": 8}]}
 
 
-def test_mask_frames_stops_at_first_failed_detection(tmp_path, capsys):
+def test_mask_frames_stops_at_first_failed_detection(tmp_path, capsys, json_server):
     frames = tmp_path / "frames"
     _write_frames(frames)
     out = tmp_path / "out"
-    server = http.server.HTTPServer(("127.0.0.1", 0), _DetectorFailingFromFrame1)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    try:
-        code = main([
-            "mask-frames", str(frames), str(out),
-            "--detector-url", f"http://127.0.0.1:{server.server_port}/d",
-        ])
-    finally:
-        server.shutdown()
-        server.server_close()
+    url = json_server(lambda path, body: (400, None) if body["frame_index"] >= 1 else (200, _FACE))
+    code = main(["mask-frames", str(frames), str(out), "--detector-url", url + "/d"])
     assert code == EXIT_REMOTE
     assert "returned 400" in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == ["0000.ppm"]
 
 
-class _FaceInEveryFrame(http.server.BaseHTTPRequestHandler):
-    """Finds one face, at (4, 4) and 8 pixels a side, in every frame."""
-
-    def do_POST(self):
-        self.rfile.read(int(self.headers["Content-Length"]))
-        payload = json.dumps({"boxes": [{"x": 4, "y": 4, "w": 8, "h": 8}]}).encode()
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
 @pytest.mark.parametrize("source", ["boxes", "detector-url"])
-def test_mask_frames_blurs_the_faces_of_every_frame(tmp_path, source):
+def test_mask_frames_blurs_the_faces_of_every_frame(tmp_path, source, json_server):
     frames = tmp_path / "frames"
     _write_frames(frames, n=4)
     out = tmp_path / "out"
@@ -246,13 +213,8 @@ def test_mask_frames_blurs_the_faces_of_every_frame(tmp_path, source):
         ))
         assert main(args + ["--boxes", str(boxes)]) == 0
     else:
-        server = http.server.HTTPServer(("127.0.0.1", 0), _FaceInEveryFrame)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        try:
-            assert main(args + ["--detector-url", f"http://127.0.0.1:{server.server_port}/d"]) == 0
-        finally:
-            server.shutdown()
-            server.server_close()
+        url = json_server(lambda path, body: (200, _FACE))
+        assert main(args + ["--detector-url", url + "/d"]) == 0
     for i in range(4):
         name = f"{i:04d}.ppm"
         before, after = read_ppm(frames / name).to_array(), read_ppm(out / name).to_array()
@@ -263,26 +225,8 @@ def test_mask_frames_blurs_the_faces_of_every_frame(tmp_path, source):
         assert np.array_equal(before, after), name
 
 
-class _RecordingDetector(http.server.BaseHTTPRequestHandler):
-    """Records (frame_index, first pixel byte) per request and finds no faces."""
-
-    seen: list = []
-
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        self.seen.append((body["frame_index"], base64.b64decode(body["pixels_b64"])[0]))
-        payload = json.dumps({"boxes": []}).encode()
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
 def test_mask_frames_visits_frames_in_name_order_and_closes_the_detector(
-    tmp_path, monkeypatch
+    tmp_path, monkeypatch, json_server
 ):
     frames = tmp_path / "frames"
     frames.mkdir()
@@ -291,19 +235,16 @@ def test_mask_frames_visits_frames_in_name_order_and_closes_the_detector(
     closed = []
     real_close = JsonEndpoint.close
     monkeypatch.setattr(JsonEndpoint, "close", lambda self: closed.append(1) or real_close(self))
-    _RecordingDetector.seen = []
-    server = http.server.HTTPServer(("127.0.0.1", 0), _RecordingDetector)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    try:
-        code = main([
-            "mask-frames", str(frames), str(tmp_path / "out"),
-            "--detector-url", f"http://127.0.0.1:{server.server_port}/d",
-        ])
-    finally:
-        server.shutdown()
-        server.server_close()
+    seen = []  # (frame_index, first pixel byte) per request; no faces found
+
+    def route(path, body):
+        seen.append((body["frame_index"], base64.b64decode(body["pixels_b64"])[0]))
+        return 200, {"boxes": []}
+
+    url = json_server(route)
+    code = main(["mask-frames", str(frames), str(tmp_path / "out"), "--detector-url", url + "/d"])
     assert code == 0
-    assert _RecordingDetector.seen == [(i, i) for i in range(12)]
+    assert seen == [(i, i) for i in range(12)]
     assert closed == [1]
 
 
@@ -567,11 +508,17 @@ _BOX = b'{"frame_index": 0, "x": 0, "y": 0, "w": 4, "h": 4}\n'
         (_results_file, _RESULT + b"not json\n", "line 2"),
         (_results_file, _RESULT.replace(b'"video_id": "v000", ', b""), "line 1"),
         (_results_file, b"\n", ""),
+        *[
+            (_results_file, _RESULT + _RESULT.replace(b"7.5", bad), "line 2")
+            for bad in (b"true", b"NaN", b"-1", b"11")
+        ],
     ],
     ids=[
         "annotations-videos-number", "annotations-videos-null", "annotations-not-utf8",
         "boxes-infinity", "boxes-not-utf8", "fixtures-truncated", "fixtures-list",
         "results-not-json", "results-without-video-id", "results-empty",
+        "results-confidence-true", "results-confidence-nan", "results-confidence-negative",
+        "results-confidence-above-10",
     ],
 )
 def test_malformed_input_file_exits_4(tmp_path, capsys, make_args, data, where):
@@ -612,7 +559,7 @@ def test_evaluate_rejects_a_video_counted_twice(tmp_path, capsys):
 
 
 def test_stats_command(tmp_path, capsys):
-    _, _, _, ann_path, _ = make_mock_dataset(tmp_path / "data")
+    records, _, _, ann_path, _ = make_mock_dataset(tmp_path / "data")
     csv_path = tmp_path / "hist.csv"
     assert main(["stats", str(ann_path), "--histogram-csv", str(csv_path)]) == 0
     out = capsys.readouterr().out
@@ -620,3 +567,11 @@ def test_stats_command(tmp_path, capsys):
     rows = csv_path.read_text().splitlines()
     assert rows[0] == "class_id,name,category,count"
     assert len(rows) == 38
+    assert b"\r" not in csv_path.read_bytes()
+    with csv_path.open(newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    hist = nfbl_histogram(records)
+    assert [(r["class_id"], r["name"], r["category"], int(r["count"])) for r in rows] == [
+        (cid, cls.name, cls.category.value, hist[cid]) for cid, cls in NFBL_REGISTRY.items()
+    ]
+    assert any(hist.values())

@@ -20,7 +20,7 @@ from emodeid.dsp import (
     mel_spectrogram,
     mel_to_hz,
 )
-from emodeid.errors import EmptyInputError, InvalidParamError
+from emodeid.errors import EmptyInputError
 
 from conftest import speech_with_pauses
 

@@ -1,0 +1,46 @@
+"""Every module-level import in src/, tests/ and scripts/ is read in its module
+or listed in its ``__all__``, unless the import says ``# noqa: F401``."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+            used.update(ast.literal_eval(node.value))
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", "") == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        unused += [f"line {node.lineno}: {name}" for name in names if name not in used | {"*"}]
+    return unused
+
+
+def test_the_checker_sees_unused_imports():
+    source = (
+        "from __future__ import annotations\nimport os, sys\nimport numpy as np\n"
+        "import json  # noqa: F401\nfrom pathlib import (\n    Path,\n    PurePath,\n)\n"
+        "from re import compile\n__all__ = ['compile']\nprint(sys.argv, np.pi, PurePath)\n"
+    )
+    assert unused_imports(source) == ["line 2: os", "line 5: Path"]
+
+
+def test_no_unused_module_level_imports():
+    found = [
+        f"{path.relative_to(ROOT)} {problem}"
+        for folder in ("src", "tests", "scripts")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        for problem in unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []

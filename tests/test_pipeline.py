@@ -1,4 +1,3 @@
-import http.server
 import json
 import os
 import sys
@@ -471,49 +470,30 @@ def test_atomic_path_leaves_creating_the_temp_file_to_the_writer(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["frame.ppm"]
 
 
-class _FakeInferenceHandler(http.server.BaseHTTPRequestHandler):
-    fail_first = {"count": 0}
-    paths: list[str] = []
-    # 200 replies whose JSON has the wrong shape, by request path.
-    malformed = {"/list": ["not", "an", "object"], "/numeric-text": {"text": 5}}
-
-    def do_POST(self):
-        self.paths.append(self.path)
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        if self.path == "/missing":
-            self.send_response(404)
-            self.end_headers()
-            return
-        if self.path in self.malformed:
-            self._reply(self.malformed[self.path])
-            return
-        if self.path == "/flaky" and self.fail_first["count"] < 1:
-            self.fail_first["count"] += 1
-            self.send_response(503)
-            self.end_headers()
-            return
-        self._reply({"text": "served: " + ("mllm" if "frames" in body else "judge")})
-
-    def _reply(self, obj):
-        payload = json.dumps(obj).encode()
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
+_served_paths: list[str] = []
+# 200 replies whose JSON has the wrong shape, by request path.
+_MALFORMED = {"/list": ["not", "an", "object"], "/numeric-text": {"text": 5}}
 
 
 @pytest.fixture
-def inference_server():
-    _FakeInferenceHandler.fail_first["count"] = 0
-    _FakeInferenceHandler.paths.clear()
-    server = http.server.HTTPServer(("127.0.0.1", 0), _FakeInferenceHandler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
-    server.server_close()
+def inference_server(json_server):
+    """A fake model service: /missing is 404, /flaky fails once with 503, and
+    every other path names the client that asked; ``_served_paths`` logs it."""
+    _served_paths.clear()
+    flaky_failures_left = [1]
+
+    def route(path, body):
+        _served_paths.append(path)
+        if path == "/missing":
+            return 404, None
+        if path in _MALFORMED:
+            return 200, _MALFORMED[path]
+        if path == "/flaky" and flaky_failures_left[0]:
+            flaky_failures_left[0] -= 1
+            return 503, None
+        return 200, {"text": "served: " + ("mllm" if "frames" in body else "judge")}
+
+    return json_server(route)
 
 
 def test_remote_clients_roundtrip(inference_server):
@@ -558,7 +538,7 @@ def test_remote_client_does_not_retry_4xx(inference_server):
     )
     with closing(client), pytest.raises(ClientUnavailableError, match="returned 404"):
         client.complete("p")
-    assert _FakeInferenceHandler.paths == ["/missing"]
+    assert _served_paths == ["/missing"]
 
 
 @pytest.mark.parametrize("path", ["/list", "/numeric-text"])
@@ -566,7 +546,7 @@ def test_remote_client_rejects_malformed_reply(inference_server, path):
     client = RemoteLlmClient(inference_server + path, timeout_s=5.0, backoff_s=0.01)
     with closing(client), pytest.raises(ClientUnavailableError, match="returned a (list|int)"):
         client.complete("p")
-    assert _FakeInferenceHandler.paths == [path]
+    assert _served_paths == [path]
 
 
 def test_batch_records_malformed_reply_per_video(mock_dataset, inference_server):

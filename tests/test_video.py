@@ -1,6 +1,3 @@
-import http.server
-import json
-import threading
 from contextlib import closing
 
 import numpy as np
@@ -241,39 +238,25 @@ def test_sidecar_detector_malformed(tmp_path):
         SidecarDetector(path)
 
 
-class _FakeDetectorHandler(http.server.BaseHTTPRequestHandler):
-    flaky_failures_left = [0]
-
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        if self.path == "/flaky" and self.flaky_failures_left[0]:
-            self.flaky_failures_left[0] -= 1
-            self.send_response(503)
-            self.end_headers()
-            return
-        boxes = [{"x": -10, "y": 5, "w": body["width"] + 50, "h": 10}]
-        if self.path == "/no-y":
-            del boxes[0]["y"]
-        payload = json.dumps({"boxes": boxes}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
+_flaky_failures_left = [0]
 
 
 @pytest.fixture
-def fake_detector_server():
-    _FakeDetectorHandler.flaky_failures_left[0] = 1
-    server = http.server.HTTPServer(("127.0.0.1", 0), _FakeDetectorHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/detect"
-    server.shutdown()
-    server.server_close()
+def fake_detector_server(json_server):
+    """A fake detector's /detect URL: one box wider than the frame; /flaky
+    fails once with 503 first, and /no-y's box lacks y."""
+    _flaky_failures_left[0] = 1
+
+    def route(path, body):
+        if path == "/flaky" and _flaky_failures_left[0]:
+            _flaky_failures_left[0] -= 1
+            return 503, None
+        boxes = [{"x": -10, "y": 5, "w": body["width"] + 50, "h": 10}]
+        if path == "/no-y":
+            del boxes[0]["y"]
+        return 200, {"boxes": boxes}
+
+    return json_server(route) + "/detect"
 
 
 def test_remote_detector_clips_out_of_bounds_box(fake_detector_server):
@@ -284,12 +267,13 @@ def test_remote_detector_clips_out_of_bounds_box(fake_detector_server):
 
 
 def test_remote_detector_retries_on_5xx(fake_detector_server):
-    detector = RemoteDetector(fake_detector_server.replace("/detect", "/flaky"), timeout_s=5.0)
-    detector.endpoint.backoff_s = 0.01
+    detector = RemoteDetector(
+        fake_detector_server.replace("/detect", "/flaky"), timeout_s=5.0, backoff_s=0.01
+    )
     with closing(detector):
         boxes = detector.detect(checkerboard(64, 48), 3)
     assert boxes == [FaceBox(3, -10, 5, 114, 10)]
-    assert _FakeDetectorHandler.flaky_failures_left == [0]
+    assert _flaky_failures_left == [0]
 
 
 def test_remote_detector_rejects_box_without_y(fake_detector_server):
@@ -299,6 +283,6 @@ def test_remote_detector_rejects_box_without_y(fake_detector_server):
 
 
 def test_remote_detector_unreachable():
-    detector = RemoteDetector("http://127.0.0.1:1/detect", timeout_s=0.2)
+    detector = RemoteDetector("http://127.0.0.1:1/detect", timeout_s=0.2, backoff_s=0.01)
     with pytest.raises(DetectorUnavailableError):
         detector.detect(checkerboard(), 0)
