@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -127,8 +128,9 @@ class VideoRecord:
     clips: list[NfblClip] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.duration_s <= 0 or self.fps <= 0:
-            raise ValueError("duration_s and fps must be positive")
+        # NaN fails both comparisons.
+        if not (0 < self.duration_s < math.inf and 0 < self.fps < math.inf):
+            raise ValueError("duration_s and fps must be positive and finite")
         for clip in self.clips:
             if clip.end_s > self.duration_s:
                 raise ValueError(
@@ -164,6 +166,8 @@ def parse_annotations(text: str | bytes) -> list[VideoRecord]:
             ]
             records.append(VideoRecord(video_id, Emotion(str(video["emotion"]).lower()),
                                        float(video["duration_s"]), float(video["fps"]), clips))
+        except UnknownClassError as exc:
+            raise UnknownClassError(f"{exc} ({ctx})") from None
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(str(exc), context=ctx)
     return records
@@ -198,11 +202,13 @@ def serialize_annotations(records: list[VideoRecord]) -> str:
 
 
 def load_annotations(path: str | Path) -> list[VideoRecord]:
-    """Parse an annotation file; a ParseError also names the file."""
+    """Parse an annotation file; a ParseError or UnknownClassError also names the file."""
     try:
         return parse_annotations(Path(path).read_bytes())
     except ParseError as exc:
         raise ParseError(str(exc), context=str(path)) from None
+    except UnknownClassError as exc:
+        raise UnknownClassError(f"{exc} ({path})") from None
 
 
 def nfbl_histogram(records: list[VideoRecord]) -> dict[str, int]:

@@ -213,22 +213,17 @@ def cmd_run_pipeline(annotations_path, media_root, output_dir, mock_fixtures, au
     finally:
         mllm.close()
         judge.close()
-    labels = {r.video_id: r.emotion for r in records}
-    per_mode = {}
     for m, outcome in outcomes.items():
-        mode_dir = output_dir / m
-        write_results(mode_dir, outcome)
-        triples = [(r.emotion, labels[r.video_id], r.confidence) for r in outcome.results]
-        per_mode[m] = triples
-        if triples:
-            report = met.evaluate(*zip(*triples))
-            with atomic_path(mode_dir / "summary.txt") as tmp:
-                tmp.write_text(report.format() + "\n", encoding="utf-8")
+        write_results(output_dir / m, outcome)
         click.echo(f"mode {m}: {len(outcome.results)} results, {len(outcome.failures)} failures")
-    populated = {m: t for m, t in per_mode.items() if t}
-    if populated:
-        table = met.ablation_report(populated)
-        for name, text in (("ablation.txt", table), ("ablation.csv", met.ablation_csv(populated))):
+    reports = met.score([r.to_record() for o in outcomes.values() for r in o.results],
+                        {r.video_id: r.emotion for r in records})
+    for m, report in reports.items():
+        with atomic_path(output_dir / m / "summary.txt") as tmp:
+            tmp.write_text(report.format() + "\n", encoding="utf-8")
+    if reports:
+        table = met.ablation_report(reports)
+        for name, text in (("ablation.txt", table), ("ablation.csv", met.ablation_csv(reports))):
             with atomic_path(output_dir / name) as tmp:
                 tmp.write_text(text + "\n", encoding="utf-8")
         click.echo(table)
@@ -242,7 +237,7 @@ def cmd_evaluate(results_path, annotations_path):
     labels = {r.video_id: r.emotion for r in ann.load_annotations(annotations_path)}
     files = ([results_path] if results_path.is_file()
              else sorted(results_path.glob("**/results.jsonl")))
-    by_mode, seen = {}, {}
+    results, seen = [], {}
     for path in files:
         for rec in read_results(path):
             vid, mode = rec["video_id"], rec["mode"]
@@ -252,16 +247,14 @@ def cmd_evaluate(results_path, annotations_path):
                 raise ParseError(f"video {vid} in mode {mode} appears twice: "
                                  f"in {seen[mode, vid]} and in {path}")
             seen[mode, vid] = path
-            by_mode.setdefault(mode, []).append(
-                (ann.Emotion(rec["emotion"]), labels[vid], rec["confidence"])
-            )
-    if not by_mode:
+            results.append(rec)
+    reports = met.score(results, labels)
+    if not reports:
         raise ParseError(f"no result records found under {results_path}")
-    if len(by_mode) > 1:
-        click.echo(met.ablation_report(by_mode))
+    if len(reports) > 1:
+        click.echo(met.ablation_report(reports))
     else:
-        ((_, triples),) = by_mode.items()
-        report = met.evaluate(*zip(*triples))
+        (report,) = reports.values()
         click.echo(report.format())
 
 

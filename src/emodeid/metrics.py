@@ -6,12 +6,7 @@ from dataclasses import dataclass
 
 from .annotations import Emotion
 from .errors import EmptyInputError, LengthMismatchError
-
-MODE_LABELS = {
-    "v": "video",
-    "va": "video+audio",
-    "van": "video+audio+nfbl",
-}
+from .pipeline import MODES
 
 
 @dataclass(frozen=True)
@@ -106,42 +101,42 @@ def evaluate(predictions, labels, confidences=None) -> EvalReport:
     )
 
 
-def ablation_rows(results: dict[str, list[tuple[Emotion, Emotion, float]]]):
-    """One (mode label, accuracy%, f1%, precision%, mean confidence) row per mode."""
-    rows = []
-    for mode, label in MODE_LABELS.items():
-        if mode not in results:
-            continue
-        triples = results[mode]
-        report = evaluate(
-            [t[0] for t in triples],
-            [t[1] for t in triples],
-            [t[2] for t in triples],
-        )
-        rows.append(
-            (
-                label,
-                100 * report.accuracy,
-                100 * report.f1,
-                100 * report.precision,
-                report.mean_confidence,
-            )
-        )
-    return rows
+def score(records, labels) -> dict[str, EvalReport]:
+    """One report per mode of ``records``, in ablation order. Records are the
+    dicts that ``pipeline.read_results`` returns; ``labels`` maps each of
+    their video ids to its true Emotion."""
+    by_mode = {}
+    for rec in records:
+        by_mode.setdefault(rec["mode"], []).append(rec)
+    return {
+        mode: evaluate([Emotion(r["emotion"]) for r in recs],
+                       [labels[r["video_id"]] for r in recs],
+                       [r["confidence"] for r in recs])
+        for mode in MODES if (recs := by_mode.get(mode))
+    }
 
 
-def ablation_report(results: dict[str, list[tuple[Emotion, Emotion, float]]]) -> str:
+def ablation_rows(reports: dict[str, EvalReport]):
+    """One (mode label, accuracy%, f1%, precision%, mean confidence) row per
+    report of ``score``, in its order."""
+    return [
+        (MODES[mode], 100 * r.accuracy, 100 * r.f1, 100 * r.precision, r.mean_confidence)
+        for mode, r in reports.items()
+    ]
+
+
+def ablation_report(reports: dict[str, EvalReport]) -> str:
     """Aligned ablation table: Accuracy, F-score, Precision, Confidence."""
     header = f"{'Mode':<18}{'Accuracy(%)':>12}{'F-score(%)':>12}{'Precision(%)':>14}{'Confidence':>12}"
     lines = [header]
-    for label, acc, fsc, prec, conf in ablation_rows(results):
+    for label, acc, fsc, prec, conf in ablation_rows(reports):
         lines.append(f"{label:<18}{acc:>12.2f}{fsc:>12.2f}{prec:>14.2f}{conf:>12.2f}")
     return "\n".join(lines)
 
 
-def ablation_csv(results: dict[str, list[tuple[Emotion, Emotion, float]]]) -> str:
+def ablation_csv(reports: dict[str, EvalReport]) -> str:
     """Machine-readable counterpart of ablation_report."""
     lines = ["mode,accuracy_pct,f_score_pct,precision_pct,mean_confidence"]
-    for label, acc, fsc, prec, conf in ablation_rows(results):
+    for label, acc, fsc, prec, conf in ablation_rows(reports):
         lines.append(f"{label},{acc:.2f},{fsc:.2f},{prec:.2f},{conf:.2f}")
     return "\n".join(lines)

@@ -16,7 +16,7 @@ import secrets
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -33,7 +33,8 @@ from .errors import (
 from .video import FrameImage, list_frames, read_ppm
 from .wavio import read_wav
 
-MODES = ("v", "va", "van")
+# The ablation modes in table order, each with its row label.
+MODES = {"v": "video", "va": "video+audio", "van": "video+audio+nfbl"}
 
 NO_NFBL_LINE = "No notable body language was observed."
 
@@ -102,7 +103,7 @@ class PipelineResult:
     timing_s: float = 0.0
 
     def to_record(self) -> dict:
-        return {**asdict(self), "emotion": self.emotion.value}
+        return {**vars(self), "emotion": self.emotion.value}
 
 
 def sample_frames_uniform(total_frames: int, m: int) -> list[int]:
@@ -236,7 +237,7 @@ def run_pipeline(record: VideoRecord, inputs: tuple, mode: str, mllm: MllmClient
     """End-to-end inference for one video in one ablation mode, on the
     ``inputs`` that ``load_video_inputs`` built for it."""
     if mode not in MODES:
-        raise InvalidParamError(f"mode must be one of {MODES}")
+        raise InvalidParamError(f"mode must be one of {tuple(MODES)}")
     started = time.monotonic()
     text = mllm.generate(*mode_request(record, inputs, mode, prompts))
     emotion, confidence, clamped = judge_emotion(judge, text, prompts.judge_template)
@@ -327,8 +328,8 @@ def write_results(out_dir: str | Path, outcome: BatchOutcome) -> None:
 
 def read_results(path: str | Path) -> list[dict]:
     """The records of a results.jsonl file; a line that is not a result record
-    (string video_id and mode, known emotion, a confidence in [0, 10] as
-    ``parse_judge_reply`` gives) raises ParseError."""
+    (string video_id, a mode of MODES, known emotion, a confidence in [0, 10]
+    as ``parse_judge_reply`` gives) raises ParseError."""
     records = []
     for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
         if not line.strip():
@@ -336,8 +337,10 @@ def read_results(path: str | Path) -> list[dict]:
         try:
             rec = json.loads(line)
             Emotion(rec["emotion"])
-            if not (isinstance(rec["video_id"], str) and isinstance(rec["mode"], str)):
-                raise TypeError("video_id and mode must be strings")
+            if not isinstance(rec["video_id"], str):
+                raise TypeError("video_id must be a string")
+            if rec["mode"] not in MODES:
+                raise ValueError(f"mode must be one of {tuple(MODES)}, not {rec['mode']!r}")
             confidence = rec["confidence"]
             # bool is an int, and NaN fails every comparison.
             if isinstance(confidence, bool) or not (

@@ -492,6 +492,9 @@ def _results_file(tmp_path, data):
 
 
 _RESULT = b'{"video_id": "v000", "mode": "v", "emotion": "positive", "confidence": 7.5}\n'
+_VIDEO = (b'{"format": "nfbl-annotations/1", "videos": [{"video_id": "v7", "emotion": "positive", '
+          b'"duration_s": 5.0, "fps": 30.0, '
+          b'"clips": [{"class_id": "N3", "start_s": 1.0, "end_s": 2.0}]}]}')
 _BOX = b'{"frame_index": 0, "x": 0, "y": 0, "w": 4, "h": 4}\n'
 
 
@@ -501,6 +504,9 @@ _BOX = b'{"frame_index": 0, "x": 0, "y": 0, "w": 4, "h": 4}\n'
         (_annotations_file, b'{"format": "nfbl-annotations/1", "videos": 5}', ""),
         (_annotations_file, b'{"format": "nfbl-annotations/1", "videos": null}', ""),
         (_annotations_file, b'{"format": "nfbl-annotations/1", "videos": []}\xff', ""),
+        (_annotations_file, _VIDEO.replace(b'"N3"', b'"N99"'), "video 'v7'"),
+        (_annotations_file, _VIDEO.replace(b"5.0", b"NaN"), "video 'v7'"),
+        (_annotations_file, _VIDEO.replace(b"30.0", b"Infinity"), "video 'v7'"),
         (_boxes_file, _BOX.replace(b'"x": 0', b'"x": Infinity'), "line 1"),
         (_boxes_file, _BOX + b"\xff\n", "line 2"),
         (_fixtures_file, b"{", ""),
@@ -508,6 +514,7 @@ _BOX = b'{"frame_index": 0, "x": 0, "y": 0, "w": 4, "h": 4}\n'
         (_results_file, _RESULT + b"not json\n", "line 2"),
         (_results_file, _RESULT.replace(b'"video_id": "v000", ', b""), "line 1"),
         (_results_file, b"\n", ""),
+        (_results_file, _RESULT + _RESULT.replace(b'"mode": "v"', b'"mode": "bogus"'), "line 2"),
         *[
             (_results_file, _RESULT + _RESULT.replace(b"7.5", bad), "line 2")
             for bad in (b"true", b"NaN", b"-1", b"11")
@@ -515,8 +522,9 @@ _BOX = b'{"frame_index": 0, "x": 0, "y": 0, "w": 4, "h": 4}\n'
     ],
     ids=[
         "annotations-videos-number", "annotations-videos-null", "annotations-not-utf8",
+        "annotations-class-unknown", "annotations-duration-nan", "annotations-fps-infinity",
         "boxes-infinity", "boxes-not-utf8", "fixtures-truncated", "fixtures-list",
-        "results-not-json", "results-without-video-id", "results-empty",
+        "results-not-json", "results-without-video-id", "results-empty", "results-mode-unknown",
         "results-confidence-true", "results-confidence-nan", "results-confidence-negative",
         "results-confidence-above-10",
     ],
@@ -538,11 +546,13 @@ def test_evaluate_single_and_ablation(tmp_path, capsys):
     assert main(["evaluate", str(out_dir / "van" / "results.jsonl"), str(ann_path)]) == 0
     single = capsys.readouterr().out
     assert "Accuracy" in single
+    assert single == (out_dir / "van" / "summary.txt").read_text()
 
     assert main(["evaluate", str(out_dir), str(ann_path)]) == 0
     table = capsys.readouterr().out
     for label in ("video", "video+audio", "video+audio+nfbl"):
         assert label in table
+    assert table == (out_dir / "ablation.txt").read_text()
 
 
 def test_evaluate_rejects_a_video_counted_twice(tmp_path, capsys):

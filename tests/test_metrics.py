@@ -16,6 +16,7 @@ from emodeid.metrics import (
     f1,
     precision,
     recall,
+    score,
 )
 
 P, N = Emotion.POSITIVE, Emotion.NEGATIVE
@@ -132,13 +133,25 @@ def test_evaluate_mean_confidence():
     assert f"{report.mean_confidence:.2f}" == "7.00"
 
 
+def reports(triples_by_mode):
+    """``score`` of (prediction, label, confidence) triples, one video per triple."""
+    records, labels = [], {}
+    for mode, triples in triples_by_mode.items():
+        for i, (pred, label, confidence) in enumerate(triples):
+            video_id = f"{mode}-{i}"
+            records.append({"video_id": video_id, "mode": mode, "emotion": pred.value,
+                            "confidence": confidence})
+            labels[video_id] = label
+    return score(records, labels)
+
+
 def test_ablation_report_layout():
     results = {
         "van": [(P, P, 7.0), (N, N, 6.0)],
         "v": [(P, P, 5.0), (P, N, 5.0)],
         "va": [(P, P, 6.0), (N, P, 6.0)],
     }
-    table = ablation_report(results)
+    table = ablation_report(reports(results))
     lines = table.splitlines()
     assert "Accuracy(%)" in lines[0]
     assert lines[0].index("Accuracy(%)") < lines[0].index("F-score(%)")
@@ -152,12 +165,12 @@ def test_ablation_report_layout():
 
 
 def test_ablation_all_correct_row():
-    table = ablation_report({"v": [(P, P, 9.0), (N, N, 9.0)]})
+    table = ablation_report(reports({"v": [(P, P, 9.0), (N, N, 9.0)]}))
     row = table.splitlines()[1]
     assert row.split() == ["video", "100.00", "100.00", "100.00", "9.00"]
 
 
 def test_ablation_csv():
-    csv = ablation_csv({"v": [(P, P, 9.0)]})
+    csv = ablation_csv(reports({"v": [(P, P, 9.0)]}))
     assert csv.splitlines()[0] == "mode,accuracy_pct,f_score_pct,precision_pct,mean_confidence"
     assert csv.splitlines()[1] == "video,100.00,100.00,100.00,9.00"
