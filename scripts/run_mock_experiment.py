@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""End-to-end mock experiment: build data, run all ablation modes, evaluate.
+"""End-to-end mock experiment: build data, run every command, evaluate.
 
 Everything is deterministic and offline. Demonstrates the full flow:
-synthetic dataset -> two-stage inference with mock clients -> per-mode
-results -> ablation table, plus an anonymization and masking smoke pass.
+synthetic dataset -> anonymization and masking smoke pass -> dataset
+statistics -> two-stage inference with mock clients -> per-mode results ->
+ablation table. Every step runs through the CLI.
 """
 
+import json
 import shutil
 import tempfile
 from pathlib import Path
@@ -13,13 +15,17 @@ from pathlib import Path
 import click
 import numpy as np
 
-from emodeid.anonymize import AnonymizationParams, anonymize_mcadams
 from emodeid.cli import main as cli_main
-from emodeid.dsp import FrameParams
 from emodeid.pipeline import SamplingConfig
 from emodeid.synthetic import make_mock_dataset
-from emodeid.video import FaceBox, list_frames, mask_frame, read_ppm
+from emodeid.video import list_frames, read_ppm
 from emodeid.wavio import read_wav
+
+
+def _run(*argv):
+    code = cli_main([str(a) for a in argv])
+    if code != 0:
+        raise SystemExit(code)
 
 
 @click.command()
@@ -39,33 +45,33 @@ def main(workdir, videos, mcadams_lambda, seed):
         click.echo(f"dataset: {videos} videos under {root / 'data'}\n")
 
         vid = "v000"
-        audio, _ = read_wav(media.root / vid / "audio.wav")
-        params = AnonymizationParams(
-            frame=FrameParams(), mcadams_lambda=mcadams_lambda
-        )
-        anon = anonymize_mcadams(audio, params)
+        audio_path, anon_path = media.root / vid / "audio.wav", root / "smoke" / "anon.wav"
+        anon_path.parent.mkdir(parents=True, exist_ok=True)
+        _run("anonymize-audio", audio_path, anon_path, "--lambda", mcadams_lambda)
+        (audio, _), (anon, _) = read_wav(audio_path), read_wav(anon_path)
         dist = np.linalg.norm(anon.samples - audio.samples) / np.linalg.norm(audio.samples)
         click.echo(
             f"anonymization smoke ({vid}): lambda={mcadams_lambda}, "
             f"rel-L2 distance to original {dist:.3f}"
         )
 
-        frame = read_ppm(list_frames(media.root / vid / "frames")[0])
-        box = FaceBox(0, 1, 1, 4, 4)
-        masked = mask_frame(frame, [box])
-        arr, orig = masked.to_array(), frame.to_array()
+        frames_dir, masked_dir = media.root / vid / "frames", root / "smoke" / "masked"
+        boxes = root / "smoke" / "boxes.jsonl"
+        boxes.write_text(json.dumps({"frame_index": 0, "x": 1, "y": 1, "w": 4, "h": 4}) + "\n")
+        _run("mask-frames", frames_dir, masked_dir, "--boxes", boxes)
+        first = list_frames(frames_dir)[0]
+        orig, arr = read_ppm(first).to_array(), read_ppm(masked_dir / first.name).to_array()
         changed = int(np.sum(np.any(arr != orig, axis=2)))
         click.echo(f"masking smoke ({vid}): {changed} pixels changed inside a 4x4 box\n")
 
         out_dir = root / "run"
         for argv in (
-            ["run-pipeline", str(ann_path), str(media.root), str(out_dir),
-             "--mode", "all", "--mock-fixtures", str(fix_path), "--frame-count", "4"],
-            ["evaluate", str(out_dir), str(ann_path)],
+            ["stats", ann_path],
+            ["run-pipeline", ann_path, media.root, out_dir,
+             "--mode", "all", "--mock-fixtures", fix_path, "--frame-count", "4"],
+            ["evaluate", out_dir, ann_path],
         ):
-            code = cli_main(argv)
-            if code != 0:
-                raise SystemExit(code)
+            _run(*argv)
             click.echo("")
         if keep:
             click.echo(f"outputs kept in {root}")

@@ -58,7 +58,7 @@ def _load_config(ctx, param, path):
         return
     try:
         doc = json.loads(path.read_text())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad config file: {exc}", context=str(path))
     scalars = (str, int, float, type(None))
     if not (isinstance(doc, dict) and all(isinstance(v, scalars) for v in doc.values())):
@@ -218,15 +218,22 @@ def cmd_run_pipeline(annotations_path, media_root, output_dir, mock_fixtures, au
         click.echo(f"mode {m}: {len(outcome.results)} results, {len(outcome.failures)} failures")
     reports = met.score([r.to_record() for o in outcomes.values() for r in o.results],
                         {r.video_id: r.emotion for r in records})
-    for m, report in reports.items():
-        with atomic_path(output_dir / m / "summary.txt") as tmp:
-            tmp.write_text(report.format() + "\n", encoding="utf-8")
+    # A score file this run cannot write is removed, so none is left from an earlier run.
+    for m in outcomes:
+        if m in reports:
+            with atomic_path(output_dir / m / "summary.txt") as tmp:
+                tmp.write_text(reports[m].format() + "\n", encoding="utf-8")
+        else:
+            (output_dir / m / "summary.txt").unlink(missing_ok=True)
     if reports:
         table = met.ablation_report(reports)
         for name, text in (("ablation.txt", table), ("ablation.csv", met.ablation_csv(reports))):
             with atomic_path(output_dir / name) as tmp:
                 tmp.write_text(text + "\n", encoding="utf-8")
         click.echo(table)
+    else:
+        for name in ("ablation.txt", "ablation.csv"):
+            (output_dir / name).unlink(missing_ok=True)
 
 
 @cli.command("evaluate")

@@ -75,11 +75,11 @@ def request_digest(payload: dict) -> str:
 class JsonEndpoint:
     """POST JSON to one URL; every failure surfaces as ``error``.
 
-    Network errors, undecodable replies and 5xx are retried with exponential
-    backoff; a 4xx, or a 200 whose JSON is not an object, is raised at once.
-    Each thread gets its own session, as ``run_batch`` calls clients from a
-    pool; ``close`` closes them all. The remote clients and detector subclass
-    it and add only their request method.
+    Network errors, undecodable or too deeply nested replies and 5xx are
+    retried with exponential backoff; a 4xx, or a 200 whose JSON is not an
+    object, is raised at once. Each thread gets its own session, as
+    ``run_batch`` calls clients from a pool; ``close`` closes them all. The
+    remote clients and detector subclass it and add only their request method.
     """
 
     error = ClientUnavailableError
@@ -129,7 +129,7 @@ class JsonEndpoint:
                     if isinstance(body, dict):
                         return body
                     raise self.error(f"{self.url} returned a {type(body).__name__}, not an object")
-            except (requests.RequestException, ValueError) as exc:
+            except (requests.RequestException, ValueError, RecursionError) as exc:
                 last = exc
                 continue
             if resp.status_code < 500:
@@ -188,7 +188,6 @@ class FixtureReplay:
 
     def __init__(self, fixtures: dict[str, str]):
         self.fixtures = dict(fixtures)
-        self.calls: list = []
 
     def _replay(self, digest: str, what: str, hint: str = "") -> str:
         if digest not in self.fixtures:
@@ -197,15 +196,11 @@ class FixtureReplay:
 
 
 class MockMllmClient(FixtureReplay, MllmClient):
-    """Replays transcripts keyed by the request digest; records every call."""
+    """Replays transcripts keyed by the request digest."""
 
     def generate(self, prompt: str, frames, spectrograms) -> str:
-        digest = mllm_request_digest(prompt, frames, spectrograms)
-        self.calls.append(
-            {"digest": digest, "n_frames": len(frames), "n_spectrograms": len(spectrograms)}
-        )
         return self._replay(
-            digest, "transcript for request",
+            mllm_request_digest(prompt, frames, spectrograms), "transcript for request",
             f" (digest scheme {DIGEST_SCHEME}; regenerate fixture files written before it)",
         )
 
@@ -218,6 +213,4 @@ class MockLlmClient(FixtureReplay, LlmClient):
         return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
     def complete(self, prompt: str) -> str:
-        digest = self.prompt_digest(prompt)
-        self.calls.append(digest)
-        return self._replay(digest, "reply for prompt")
+        return self._replay(self.prompt_digest(prompt), "reply for prompt")

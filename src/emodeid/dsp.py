@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -80,12 +80,6 @@ class MelSpectrogram:
     """Log-mel feature matrix, rows = mel bins, columns = time frames."""
 
     values: np.ndarray
-    bin_count: int = field(init=False)
-    frame_count: int = field(init=False)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.bin_count, self.frame_count = self.values.shape
 
 
 def frame_count(n_samples: int, win: int, shift: int) -> int:

@@ -38,6 +38,10 @@ MODES = {"v": "video", "va": "video+audio", "van": "video+audio+nfbl"}
 
 NO_NFBL_LINE = "No notable body language was observed."
 
+# What fails one video, not the batch: bad input or a client error, and a
+# media file that cannot be read.
+_VIDEO_ERRORS = (EmodeidError, OSError)
+
 _EMOTION_RE = re.compile(r"^\s*EMOTION:\s*(positive|negative)\s*$", re.IGNORECASE | re.MULTILINE)
 _CONFIDENCE_RE = re.compile(r"^\s*CONFIDENCE:\s*([-+]?\d+(?:\.\d+)?)\s*$", re.IGNORECASE | re.MULTILINE)
 
@@ -198,7 +202,7 @@ class DirectoryMediaSource:
 
 
 def load_video_inputs(record: VideoRecord, media: DirectoryMediaSource, config: SamplingConfig,
-                      audio: bool) -> tuple[list, list | EmodeidError | None]:
+                      audio: bool) -> tuple[list, list | Exception | None]:
     """One video's sampled frames and, if ``audio``, mel clips, built once for all its modes;
     when the audio gives no clips, its error stands in for them and each audio mode raises it."""
     total = media.frame_count(record.video_id)
@@ -216,7 +220,7 @@ def load_video_inputs(record: VideoRecord, media: DirectoryMediaSource, config: 
             raise EmptyInputError(f"audio of video {record.video_id} is shorter than one segment")
         specs = [mel_spectrogram(seg, bins=config.mel_bins).values
                  for seg in segments[: config.max_segments]]
-    except EmodeidError as exc:
+    except _VIDEO_ERRORS as exc:
         specs = exc
     return frames, specs
 
@@ -226,7 +230,7 @@ def mode_request(record: VideoRecord, inputs: tuple, mode: str, prompts: PromptB
     frames, spectrograms = inputs
     if mode == "v":
         spectrograms = []
-    elif isinstance(spectrograms, EmodeidError):
+    elif isinstance(spectrograms, _VIDEO_ERRORS):
         raise spectrograms
     clips = record.clips if mode == "van" else []
     return build_mllm_prompt(clips, prompts.mllm_template), frames, spectrograms
@@ -257,26 +261,25 @@ class BatchOutcome:
 
 def run_batch(records: list[VideoRecord], media: DirectoryMediaSource, config: SamplingConfig,
               mllm: MllmClient, judge: LlmClient, modes=MODES,
-              prompts: PromptBundle | None = None, workers: int = 4) -> dict[str, BatchOutcome]:
+              workers: int = 4) -> dict[str, BatchOutcome]:
     """Each (video, mode) pair yields one result or one failure. A pool task
     per video builds its inputs once and runs every mode on them; outputs are
     sorted by video id so aggregation does not depend on completion order."""
-    if prompts is None:
-        prompts = default_prompts()
+    prompts = default_prompts()
     audio = any(mode != "v" for mode in modes)
 
     def attempt(record: VideoRecord, mode: str, inputs):
         try:
-            if isinstance(inputs, EmodeidError):
+            if isinstance(inputs, _VIDEO_ERRORS):
                 raise inputs
             return run_pipeline(record, inputs, mode, mllm, judge, prompts)
-        except EmodeidError as exc:
+        except _VIDEO_ERRORS as exc:
             return {"video_id": record.video_id, "mode": mode, "error": str(exc)}
 
     def one(record: VideoRecord):
         try:
             inputs = load_video_inputs(record, media, config, audio)
-        except EmodeidError as exc:
+        except _VIDEO_ERRORS as exc:
             inputs = exc
         return [attempt(record, mode, inputs) for mode in modes]
 

@@ -54,8 +54,8 @@ def mock_dataset(tmp_path):
 def json_server():
     """Start loopback JSON services: ``json_server(route)`` returns the base URL
     of a server that answers each POST with ``route(path, body)``, a
-    ``(status, reply)`` pair whose reply of None sends an empty body. The
-    servers stop when the test ends."""
+    ``(status, reply)`` pair whose reply of None sends an empty body and
+    whose bytes reply is sent as it is. The servers stop when the test ends."""
     servers = []
 
     def start(route):
@@ -63,7 +63,12 @@ def json_server():
             def do_POST(self):
                 body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
                 status, reply = route(self.path, body)
-                payload = b"" if reply is None else json.dumps(reply).encode()
+                if reply is None:
+                    payload = b""
+                elif isinstance(reply, bytes):
+                    payload = reply
+                else:
+                    payload = json.dumps(reply).encode()
                 self.send_response(status)
                 self.send_header("Content-Length", str(len(payload)))
                 self.end_headers()

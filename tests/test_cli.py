@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from emodeid import clients, pipeline
 from emodeid.annotations import NFBL_REGISTRY, nfbl_histogram
 from emodeid.cli import EXIT_REMOTE, EXIT_USAGE, EXIT_VALIDATION, main
-from emodeid.clients import JsonEndpoint, MockLlmClient, MockMllmClient
+from emodeid.clients import JsonEndpoint, mllm_request_digest
 from emodeid.dsp import AudioSignal
-from emodeid.pipeline import SamplingConfig, default_prompts, load_video_inputs, run_pipeline
+from emodeid.pipeline import SamplingConfig, default_prompts, load_video_inputs, mode_request
 from emodeid.video import FrameImage, read_ppm, write_ppm
 from emodeid.wavio import PCM16, read_wav, write_wav
 
@@ -340,6 +340,28 @@ def test_run_pipeline_rerun_byte_identical(tmp_path):
     ).read_bytes()
 
 
+def test_run_pipeline_rerun_removes_the_scores_it_cannot_write(tmp_path):
+    # Each rerun goes into the first run's directory with fewer results.
+    _, media, _, ann_path, fix_path = make_mock_dataset(tmp_path / "data")
+    out_dir = tmp_path / "run"
+    assert main(_pipeline_args(ann_path, media, out_dir, fix_path)) == 0
+    for audio in media.root.glob("*/audio.wav"):
+        audio.unlink()
+    assert main(_pipeline_args(ann_path, media, out_dir, fix_path)) == 0
+    assert (out_dir / "v" / "summary.txt").exists()
+    assert not (out_dir / "va" / "summary.txt").exists()
+    assert not (out_dir / "van" / "summary.txt").exists()
+    assert "video+audio" not in (out_dir / "ablation.txt").read_text()
+    for frame in media.root.glob("*/frames/*.ppm"):
+        frame.unlink()
+    assert main(_pipeline_args(ann_path, media, out_dir, fix_path)) == 0
+    for mode in ("v", "va", "van"):
+        assert (out_dir / mode / "results.jsonl").read_text() == ""
+        assert not (out_dir / mode / "summary.txt").exists()
+    assert not (out_dir / "ablation.txt").exists()
+    assert not (out_dir / "ablation.csv").exists()
+
+
 def test_run_pipeline_never_reveals_the_token(tmp_path, capsys):
     _, media, _, ann_path, fix_path = make_mock_dataset(tmp_path / "data")
     out_dir = tmp_path / "run"
@@ -431,12 +453,8 @@ def test_run_pipeline_rejects_bad_remote_settings_before_any_video(tmp_path, cap
 def test_run_pipeline_missing_fixture_is_failure(tmp_path):
     records, media, fixtures, ann_path, _ = make_mock_dataset(tmp_path / "data")
     # find the digest one video uses in this mode, then drop that fixture
-    probe = MockMllmClient(fixtures["mllm"])
     inputs = load_video_inputs(records[0], media, SamplingConfig(frame_count=4), audio=True)
-    run_pipeline(
-        records[0], inputs, "van", probe, MockLlmClient(fixtures["judge"]), default_prompts()
-    )
-    victim = probe.calls[0]["digest"]
+    victim = mllm_request_digest(*mode_request(records[0], inputs, "van", default_prompts()))
     broken = {
         "mllm": {k: v for k, v in fixtures["mllm"].items() if k != victim},
         "judge": fixtures["judge"],
@@ -484,6 +502,14 @@ def _fixtures_file(tmp_path, data):
     return _pipeline_args(ann_path, media, tmp_path / "run", path), path
 
 
+def _config_file(tmp_path, data):
+    wav = tmp_path / "in.wav"
+    write_wav(wav, AudioSignal(np.zeros(200), 2000), PCM16)
+    path = tmp_path / "cfg.json"
+    path.write_bytes(data)
+    return ["anonymize-audio", "--config", str(path), str(wav), str(tmp_path / "out.wav")], path
+
+
 def _results_file(tmp_path, data):
     _, _, _, ann_path, _ = make_mock_dataset(tmp_path / "data")
     path = tmp_path / "results.jsonl"
@@ -519,6 +545,7 @@ _BOX = b'{"frame_index": 0, "x": 0, "y": 0, "w": 4, "h": 4}\n'
             (_results_file, _RESULT + _RESULT.replace(b"7.5", bad), "line 2")
             for bad in (b"true", b"NaN", b"-1", b"11")
         ],
+        (_config_file, b"[" * 100000 + b"]" * 100000, ""),
     ],
     ids=[
         "annotations-videos-number", "annotations-videos-null", "annotations-not-utf8",
@@ -526,7 +553,7 @@ _BOX = b'{"frame_index": 0, "x": 0, "y": 0, "w": 4, "h": 4}\n'
         "boxes-infinity", "boxes-not-utf8", "fixtures-truncated", "fixtures-list",
         "results-not-json", "results-without-video-id", "results-empty", "results-mode-unknown",
         "results-confidence-true", "results-confidence-nan", "results-confidence-negative",
-        "results-confidence-above-10",
+        "results-confidence-above-10", "config-nested",
     ],
 )
 def test_malformed_input_file_exits_4(tmp_path, capsys, make_args, data, where):

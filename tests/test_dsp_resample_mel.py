@@ -34,8 +34,6 @@ def test_mel_shape_two_second_clip():
     audio = AudioSignal(np.random.default_rng(0).standard_normal(32000) * 0.1, 16000)
     spec = mel_spectrogram(audio, bins=128)
     assert spec.values.shape == (128, 198)
-    assert spec.bin_count == 128
-    assert spec.frame_count == 198
     assert np.all(np.isfinite(spec.values))
 
 

@@ -10,9 +10,9 @@ import struct
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from emodeid.annotations import FORMAT_MARKER, parse_annotations
+from emodeid.annotations import FORMAT_MARKER, Emotion, parse_annotations
 from emodeid.errors import EmodeidError
-from emodeid.pipeline import parse_judge_reply
+from emodeid.pipeline import MODES, parse_judge_reply, read_results
 from emodeid.video import SidecarDetector, read_ppm
 from emodeid.wavio import read_wav
 
@@ -66,6 +66,31 @@ def test_sidecar_detector_raises_only_emodeid_errors(tmp_path, body):
     path = tmp_path / "boxes.jsonl"
     path.write_bytes(body)
     _only_emodeid_errors(lambda: SidecarDetector(path))
+
+
+_RESULT = st.fixed_dictionaries({
+    "video_id": _SCALARS, "mode": _SCALARS | st.sampled_from(list(MODES)),
+    "emotion": _SCALARS, "confidence": _SCALARS,
+})
+
+
+@FUZZ
+@given(body=st.binary() | st.lists(_RESULT | _JSON).map(
+    lambda recs: "\n".join(json.dumps(r) for r in recs).encode()
+))
+@example(body=b"[" * 100000 + b"]" * 100000)
+@example(body=b'{"video_id": "v000", "mode": "v", "emotion": "positive", "confidence": true}')
+def test_read_results_raises_only_emodeid_errors(tmp_path, body):
+    path = tmp_path / "results.jsonl"
+    path.write_bytes(body)
+    try:
+        records = read_results(path)
+    except EmodeidError:
+        return
+    for rec in records:  # what it accepts is a result record
+        Emotion(rec["emotion"])
+        assert isinstance(rec["video_id"], str) and rec["mode"] in MODES
+        assert type(rec["confidence"]) in (int, float) and 0.0 <= rec["confidence"] <= 10.0
 
 
 def _chunk(chunk_id, body):

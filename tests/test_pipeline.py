@@ -191,7 +191,6 @@ def test_payload_digest_is_the_mock_replay_key():
     assert key == mllm_request_digest("p", frames, specs)
     client = MockMllmClient({key: "described"})
     assert client.generate("p", frames, specs) == "described"
-    assert client.calls[0]["digest"] == key
 
 
 def test_request_digest_separates_roles_layouts_and_prompts():
@@ -321,11 +320,22 @@ def test_run_pipeline_deterministic(mock_dataset):
 
 
 def test_video_only_mode_skips_audio(mock_dataset):
+    class CountingMllm(MockMllmClient):
+        """Replays fixtures and records how many spectrograms each request sends."""
+
+        def __init__(self, fixtures):
+            super().__init__(fixtures)
+            self.spectrogram_counts = []
+
+        def generate(self, prompt, frames, spectrograms):
+            self.spectrogram_counts.append(len(spectrograms))
+            return super().generate(prompt, frames, spectrograms)
+
     records, media, fixtures, _, _ = mock_dataset
-    mllm = MockMllmClient(fixtures["mllm"])
+    mllm = CountingMllm(fixtures["mllm"])
     judge = MockLlmClient(fixtures["judge"])
     _run(records[0], media, SamplingConfig(frame_count=4), mllm, judge, "v")
-    assert all(call["n_spectrograms"] == 0 for call in mllm.calls)
+    assert mllm.spectrogram_counts == [0]
 
 
 def test_batch_records_failures_and_continues(mock_dataset, tmp_path):
@@ -334,10 +344,8 @@ def test_batch_records_failures_and_continues(mock_dataset, tmp_path):
     judge = MockLlmClient(fixtures["judge"])
     # drop v000's van transcript: it must fail without sinking the batch.
     # v000 has an NFBL clip, so its van request differs from its va request.
-    probe = MockMllmClient(fixtures["mllm"])
-    _run(records[0], media, config, probe, judge, "van")
     broken = dict(fixtures["mllm"])
-    del broken[probe.calls[0]["digest"]]
+    del broken[mllm_request_digest(*_request(records[0], media, config, "van"))]
     outcome = run_batch(
         records, media, config, MockMllmClient(broken), judge, modes=["van"], workers=2
     )["van"]
@@ -436,6 +444,31 @@ def test_all_modes_attribute_media_failures_per_mode(mock_dataset):
     } == expected
 
 
+def test_all_modes_attribute_unreadable_media_per_mode(mock_dataset):
+    # A missing WAV fails only the audio modes, and a frame that cannot be
+    # opened every mode; the rest of the batch goes on.
+    records, media, fixtures, _, _ = mock_dataset
+    audio = media.root / "v001" / "audio.wav"
+    audio.unlink()
+    frame = media.root / "v002" / "frames" / "frame_000.ppm"
+    frame.unlink()
+    frame.mkdir()  # still listed as a frame; reading it raises IsADirectoryError
+    outcomes = run_batch(
+        records, media, SamplingConfig(frame_count=4), MockMllmClient(fixtures["mllm"]),
+        MockLlmClient(fixtures["judge"]), workers=2,
+    )
+    assert [r.video_id for r in outcomes["v"].results] == ["v000", "v001"]
+    assert [(f["video_id"], f["mode"]) for f in outcomes["v"].failures] == [("v002", "v")]
+    assert str(frame) in outcomes["v"].failures[0]["error"]
+    for mode in ("va", "van"):
+        outcome = outcomes[mode]
+        assert [r.video_id for r in outcome.results] == ["v000"]
+        failures = [(f["video_id"], f["mode"]) for f in outcome.failures]
+        assert failures == [("v001", mode), ("v002", mode)]
+        assert str(audio) in outcome.failures[0]["error"]
+        assert str(frame) in outcome.failures[1]["error"]
+
+
 def _outcome(video_id):
     return BatchOutcome(results=[PipelineResult(video_id, "van", "text", Emotion.POSITIVE, 7.0)])
 
@@ -477,8 +510,9 @@ _MALFORMED = {"/list": ["not", "an", "object"], "/numeric-text": {"text": 5}}
 
 @pytest.fixture
 def inference_server(json_server):
-    """A fake model service: /missing is 404, /flaky fails once with 503, and
-    every other path names the client that asked; ``_served_paths`` logs it."""
+    """A fake model service: /missing is 404, /flaky fails once with 503, /deep
+    replies with JSON nested too deeply to decode, and every other path names
+    the client that asked; ``_served_paths`` logs it."""
     _served_paths.clear()
     flaky_failures_left = [1]
 
@@ -488,6 +522,8 @@ def inference_server(json_server):
             return 404, None
         if path in _MALFORMED:
             return 200, _MALFORMED[path]
+        if path == "/deep":
+            return 200, b"[" * 100000 + b"]" * 100000
         if path == "/flaky" and flaky_failures_left[0]:
             flaky_failures_left[0] -= 1
             return 503, None
@@ -559,6 +595,20 @@ def test_batch_records_malformed_reply_per_video(mock_dataset, inference_server)
     assert outcome.results == []
     assert sorted(f["video_id"] for f in outcome.failures) == ["v000", "v001", "v002"]
     assert all("not an object" in f["error"] for f in outcome.failures)
+
+
+def test_batch_records_too_deeply_nested_reply_per_video(mock_dataset, inference_server):
+    records, media, fixtures, _, _ = mock_dataset
+    url = inference_server + "/deep"
+    with closing(RemoteMllmClient(url, timeout_s=5.0, backoff_s=0.01)) as mllm:
+        outcome = run_batch(
+            records, media, SamplingConfig(frame_count=4), mllm,
+            MockLlmClient(fixtures["judge"]), modes=["v"], workers=2,
+        )["v"]
+    assert outcome.results == []
+    assert [f["video_id"] for f in outcome.failures] == ["v000", "v001", "v002"]
+    assert all(f"{url} unreachable after 3 attempts" in f["error"] for f in outcome.failures)
+    assert _served_paths == ["/deep"] * 9
 
 
 def test_endpoint_keeps_one_session_per_thread():
