@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import InsufficientDataError, ParseError, UnknownClassError
+from .errors import InsufficientDataError, ParseError
 
 FORMAT_MARKER = "nfbl-annotations/1"
 
@@ -114,7 +114,7 @@ class NfblClip:
 
     def __post_init__(self):
         if self.class_id not in NFBL_REGISTRY:
-            raise UnknownClassError(f"unknown body-language class: {self.class_id}")
+            raise ValueError(f"unknown body-language class: {self.class_id}")
         if not (0.0 <= self.start_s < self.end_s):
             raise ValueError("clip must satisfy 0 <= start_s < end_s")
 
@@ -166,8 +166,6 @@ def parse_annotations(text: str | bytes) -> list[VideoRecord]:
             ]
             records.append(VideoRecord(video_id, Emotion(str(video["emotion"]).lower()),
                                        float(video["duration_s"]), float(video["fps"]), clips))
-        except UnknownClassError as exc:
-            raise UnknownClassError(f"{exc} ({ctx})") from None
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(str(exc), context=ctx)
     return records
@@ -202,13 +200,11 @@ def serialize_annotations(records: list[VideoRecord]) -> str:
 
 
 def load_annotations(path: str | Path) -> list[VideoRecord]:
-    """Parse an annotation file; a ParseError or UnknownClassError also names the file."""
+    """Parse an annotation file; a ParseError also names the file."""
     try:
         return parse_annotations(Path(path).read_bytes())
     except ParseError as exc:
         raise ParseError(str(exc), context=str(path)) from None
-    except UnknownClassError as exc:
-        raise UnknownClassError(f"{exc} ({path})") from None
 
 
 def nfbl_histogram(records: list[VideoRecord]) -> dict[str, int]:

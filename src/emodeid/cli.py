@@ -21,18 +21,13 @@ from . import metrics as met
 from .anonymize import AnonymizationParams, anonymize_mcadams
 from .clients import MockLlmClient, MockMllmClient, RemoteLlmClient, RemoteMllmClient
 from .dsp import FrameParams
-from .errors import (
-    ClientUnavailableError,
-    DetectorUnavailableError,
-    EmodeidError,
-    ParseError,
-    ResponseEmptyError,
-)
+from .errors import ClientUnavailableError, EmodeidError, ParseError
 from .pipeline import (
     MODES,
     DirectoryMediaSource,
     SamplingConfig,
     atomic_path,
+    jsonl,
     read_results,
     run_batch,
     write_results,
@@ -52,7 +47,8 @@ def _load_config(ctx, param, path):
     Click then gives flags and EMODEID_* variables precedence over the file.
     Each value is handed over as the text a flag would carry, so it is
     converted and checked like one: 4.7 is not a valid --frame-count. A null
-    leaves the option at its default, so a run's config.json reads back.
+    leaves the option at its default, so a run's config.json reads back. A
+    key that names no option of the command is an error, not ignored.
     """
     if path is None:
         return
@@ -64,6 +60,12 @@ def _load_config(ctx, param, path):
     if not (isinstance(doc, dict) and all(isinstance(v, scalars) for v in doc.values())):
         raise ParseError("config must be a JSON object of strings, numbers and nulls",
                          context=str(path))
+    # The file cannot name another config file: this option has already run.
+    options = {p.name for p in ctx.command.params if isinstance(p, click.Option)} - {param.name}
+    unknown = sorted(set(doc) - options)
+    if unknown:
+        raise ParseError(f"unknown config key {', '.join(map(repr, unknown))}: "
+                         f"{ctx.info_name} has no such option", context=str(path))
     ctx.default_map = {key: str(value) for key, value in doc.items() if value is not None}
 
 
@@ -205,35 +207,32 @@ def cmd_run_pipeline(annotations_path, media_root, output_dir, mock_fixtures, au
         auth_token, cfg["timeout_s"], cfg["max_attempts"],
     )
     try:
-        output_dir.mkdir(parents=True, exist_ok=True)
-        with atomic_path(output_dir / "config.json") as tmp:
-            tmp.write_text(json.dumps(echo_cfg, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        write_results(output_dir,
+                      {"config.json": json.dumps(echo_cfg, sort_keys=True, indent=2) + "\n"})
         modes = list(MODES) if cfg["mode"] == "all" else [cfg["mode"]]
         outcomes = run_batch(records, media, sampling, mllm, judge, modes, workers=cfg["workers"])
     finally:
         mllm.close()
         judge.close()
-    for m, outcome in outcomes.items():
-        write_results(output_dir / m, outcome)
-        click.echo(f"mode {m}: {len(outcome.results)} results, {len(outcome.failures)} failures")
-    reports = met.score([r.to_record() for o in outcomes.values() for r in o.results],
+    reports = met.score([r for results, _ in outcomes.values() for r in results],
                         {r.video_id: r.emotion for r in records})
-    # A score file this run cannot write is removed, so none is left from an earlier run.
-    for m in outcomes:
-        if m in reports:
-            with atomic_path(output_dir / m / "summary.txt") as tmp:
-                tmp.write_text(reports[m].format() + "\n", encoding="utf-8")
-        else:
-            (output_dir / m / "summary.txt").unlink(missing_ok=True)
+    # Every file of the run directory; one that this run cannot write (a mode
+    # it did not run, a score with no results) maps to None and is removed, so
+    # none is left from an earlier run.
+    files = dict.fromkeys([f"{m}/{name}" for m in MODES
+                           for name in ("results.jsonl", "failures.jsonl", "summary.txt")]
+                          + ["ablation.txt", "ablation.csv"])
+    for m, (results, failures) in outcomes.items():
+        click.echo(f"mode {m}: {len(results)} results, {len(failures)} failures")
+        files[f"{m}/results.jsonl"], files[f"{m}/failures.jsonl"] = jsonl(results), jsonl(failures)
+    for m, report in reports.items():
+        files[f"{m}/summary.txt"] = report.format() + "\n"
     if reports:
-        table = met.ablation_report(reports)
-        for name, text in (("ablation.txt", table), ("ablation.csv", met.ablation_csv(reports))):
-            with atomic_path(output_dir / name) as tmp:
-                tmp.write_text(text + "\n", encoding="utf-8")
-        click.echo(table)
-    else:
-        for name in ("ablation.txt", "ablation.csv"):
-            (output_dir / name).unlink(missing_ok=True)
+        files["ablation.txt"] = met.ablation_report(reports) + "\n"
+        files["ablation.csv"] = met.ablation_csv(reports) + "\n"
+    write_results(output_dir, files)
+    if reports:
+        click.echo(files["ablation.txt"], nl=False)
 
 
 @cli.command("evaluate")
@@ -258,7 +257,8 @@ def cmd_evaluate(results_path, annotations_path):
     reports = met.score(results, labels)
     if not reports:
         raise ParseError(f"no result records found under {results_path}")
-    if len(reports) > 1:
+    # A directory prints what run-pipeline writes to its ablation.txt.
+    if len(reports) > 1 or results_path.is_dir():
         click.echo(met.ablation_report(reports))
     else:
         (report,) = reports.values()
@@ -301,7 +301,7 @@ def main(argv=None):
         return EXIT_USAGE
     except click.Abort:
         return EXIT_USAGE
-    except (ClientUnavailableError, DetectorUnavailableError, ResponseEmptyError) as exc:
+    except ClientUnavailableError as exc:
         click.echo(f"remote-client error: {exc}", err=True)
         return EXIT_REMOTE
     except EmodeidError as exc:

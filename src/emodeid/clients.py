@@ -18,7 +18,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 import requests
 
-from .errors import ClientUnavailableError, InvalidParamError, ResponseEmptyError
+from .errors import ClientUnavailableError, InvalidParamError
 
 
 def encode_array(arr: np.ndarray) -> dict:
@@ -73,7 +73,7 @@ def request_digest(payload: dict) -> str:
 
 
 class JsonEndpoint:
-    """POST JSON to one URL; every failure surfaces as ``error``.
+    """POST JSON to one URL; every failure surfaces as ClientUnavailableError.
 
     Network errors, undecodable or too deeply nested replies and 5xx are
     retried with exponential backoff; a 4xx, or a 200 whose JSON is not an
@@ -81,8 +81,6 @@ class JsonEndpoint:
     ``run_batch`` calls clients from a pool; ``close`` closes them all. The
     remote clients and detector subclass it and add only their request method.
     """
-
-    error = ClientUnavailableError
 
     def __init__(self, url, auth_token=None, timeout_s=120.0, max_attempts=3, backoff_s=1.0):
         if max_attempts < 1:
@@ -115,7 +113,7 @@ class JsonEndpoint:
             session.close()
 
     def post(self, payload: dict) -> dict:
-        """The reply's JSON object; a reply of any other shape raises ``error``."""
+        """The reply's JSON object; a reply of any other shape is a client error."""
         last = None
         for attempt in range(self.max_attempts):
             if attempt:
@@ -128,22 +126,24 @@ class JsonEndpoint:
                     body = resp.json()
                     if isinstance(body, dict):
                         return body
-                    raise self.error(f"{self.url} returned a {type(body).__name__}, not an object")
+                    raise ClientUnavailableError(
+                        f"{self.url} returned a {type(body).__name__}, not an object")
             except (requests.RequestException, ValueError, RecursionError) as exc:
                 last = exc
                 continue
             if resp.status_code < 500:
-                raise self.error(f"{self.url} returned {resp.status_code}")
+                raise ClientUnavailableError(f"{self.url} returned {resp.status_code}")
             last = f"returned {resp.status_code}"
-        raise self.error(f"{self.url} unreachable after {self.max_attempts} attempts: {last}")
+        raise ClientUnavailableError(
+            f"{self.url} unreachable after {self.max_attempts} attempts: {last}")
 
     def post_for_text(self, payload: dict) -> str:
         """The reply's non-blank ``text`` field."""
         text = self.post(payload).get("text", "")
         if not isinstance(text, str):
-            raise self.error(f"{self.url} returned a {type(text).__name__} text field")
+            raise ClientUnavailableError(f"{self.url} returned a {type(text).__name__} text field")
         if not text.strip():
-            raise ResponseEmptyError(f"{self.url} returned an empty response")
+            raise ClientUnavailableError(f"{self.url} returned an empty response")
         return text
 
 

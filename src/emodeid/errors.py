@@ -28,10 +28,6 @@ class ParseError(EmodeidError):
         self.context = context
 
 
-class UnknownClassError(EmodeidError):
-    """A body-language class id is not in the registry."""
-
-
 class InsufficientDataError(EmodeidError):
     """Not enough records to satisfy a split request."""
 
@@ -40,16 +36,8 @@ class LengthMismatchError(EmodeidError):
     """Paired sequences have different lengths."""
 
 
-class DetectorUnavailableError(EmodeidError):
-    """Remote face-detection service could not be reached."""
-
-
 class ClientUnavailableError(EmodeidError):
-    """Inference client failed after all retry attempts."""
-
-
-class ResponseEmptyError(EmodeidError):
-    """Inference client returned an empty response."""
+    """A remote service, or a mock client's fixture table, gave no usable reply."""
 
 
 class JudgeParseError(EmodeidError):

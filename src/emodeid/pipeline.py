@@ -16,7 +16,7 @@ import secrets
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -92,22 +92,6 @@ class PromptBundle:
             raise InvalidParamError("mllm template needs an {nfbl_section} slot")
         if "{response}" not in self.judge_template:
             raise InvalidParamError("judge template needs a {response} slot")
-
-
-@dataclass
-class PipelineResult:
-    """One video's judged outcome plus the descriptive text it was based on."""
-
-    video_id: str
-    mode: str
-    mllm_text: str
-    emotion: Emotion
-    confidence: float
-    confidence_clamped: bool = False
-    timing_s: float = 0.0
-
-    def to_record(self) -> dict:
-        return {**vars(self), "emotion": self.emotion.value}
 
 
 def sample_frames_uniform(total_frames: int, m: int) -> list[int]:
@@ -237,9 +221,11 @@ def mode_request(record: VideoRecord, inputs: tuple, mode: str, prompts: PromptB
 
 
 def run_pipeline(record: VideoRecord, inputs: tuple, mode: str, mllm: MllmClient,
-                 judge: LlmClient, prompts: PromptBundle) -> PipelineResult:
+                 judge: LlmClient, prompts: PromptBundle) -> dict:
     """End-to-end inference for one video in one ablation mode, on the
-    ``inputs`` that ``load_video_inputs`` built for it."""
+    ``inputs`` that ``load_video_inputs`` built for it. Returns the result
+    record: the judged emotion and confidence plus the descriptive text they
+    rest on, as a ``results.jsonl`` line holds it and ``read_results`` reads it."""
     if mode not in MODES:
         raise InvalidParamError(f"mode must be one of {tuple(MODES)}")
     started = time.monotonic()
@@ -250,21 +236,18 @@ def run_pipeline(record: VideoRecord, inputs: tuple, mode: str, mllm: MllmClient
     # Deterministic (mock) runs report zero timing so result files are
     # byte-identical across reruns.
     timing = 0.0 if deterministic else time.monotonic() - started
-    return PipelineResult(record.video_id, mode, text, emotion, confidence, clamped, timing)
-
-
-@dataclass
-class BatchOutcome:
-    results: list[PipelineResult] = field(default_factory=list)
-    failures: list[dict] = field(default_factory=list)
+    return {"video_id": record.video_id, "mode": mode, "mllm_text": text,
+            "emotion": emotion.value, "confidence": confidence,
+            "confidence_clamped": clamped, "timing_s": timing}
 
 
 def run_batch(records: list[VideoRecord], media: DirectoryMediaSource, config: SamplingConfig,
               mllm: MllmClient, judge: LlmClient, modes=MODES,
-              workers: int = 4) -> dict[str, BatchOutcome]:
-    """Each (video, mode) pair yields one result or one failure. A pool task
-    per video builds its inputs once and runs every mode on them; outputs are
-    sorted by video id so aggregation does not depend on completion order."""
+              workers: int = 4) -> dict[str, tuple[list[dict], list[dict]]]:
+    """``{mode: (results, failures)}``: each (video, mode) pair yields one
+    result record or one failure record. A pool task per video builds its
+    inputs once and runs every mode on them; the pool maps over the videos in
+    id order, so the lists do not depend on completion order."""
     prompts = default_prompts()
     audio = any(mode != "v" for mode in modes)
 
@@ -283,16 +266,12 @@ def run_batch(records: list[VideoRecord], media: DirectoryMediaSource, config: S
             inputs = exc
         return [attempt(record, mode, inputs) for mode in modes]
 
-    outcomes = {mode: BatchOutcome() for mode in modes}
+    outcomes = {mode: ([], []) for mode in modes}
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for items in pool.map(one, records):
+        for items in pool.map(one, sorted(records, key=lambda r: r.video_id)):
             for mode, item in zip(modes, items):
-                outcome = outcomes[mode]
-                kept = outcome.results if isinstance(item, PipelineResult) else outcome.failures
-                kept.append(item)
-    for outcome in outcomes.values():
-        outcome.results.sort(key=lambda r: r.video_id)
-        outcome.failures.sort(key=lambda f: f["video_id"])
+                results, failures = outcomes[mode]
+                (failures if "error" in item else results).append(item)
     return outcomes
 
 
@@ -316,16 +295,22 @@ def atomic_path(path: str | Path):
         raise
 
 
-def write_results(out_dir: str | Path, outcome: BatchOutcome) -> None:
-    """One JSON record per line; failures land in a separate file."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, records in (
-        ("results.jsonl", [r.to_record() for r in outcome.results]),
-        ("failures.jsonl", outcome.failures),
-    ):
-        text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-        with atomic_path(out_dir / name) as tmp:
+def jsonl(records: list[dict]) -> str:
+    """One JSON record per line, keys sorted, as ``read_results`` reads them."""
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+
+def write_results(out_dir: str | Path, files: dict[str, str | None]) -> None:
+    """The one writer of a run directory: each text of ``files``, keyed by its
+    path under ``out_dir``, is written atomically, and each path mapped to
+    None is removed, so no file of an earlier run is left beside new ones."""
+    for name, text in files.items():
+        path = Path(out_dir, name)
+        if text is None:
+            path.unlink(missing_ok=True)
+            continue
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with atomic_path(path) as tmp:
             tmp.write_text(text, encoding="utf-8")
 
 

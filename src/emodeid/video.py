@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .clients import JsonEndpoint
-from .errors import DetectorUnavailableError, InvalidParamError, ParseError
+from .errors import ClientUnavailableError, InvalidParamError, ParseError
 
 
 @dataclass
@@ -118,8 +118,6 @@ class RemoteDetector(JsonEndpoint, FaceDetector):
     failures are retried like the inference clients' (see ``JsonEndpoint``).
     """
 
-    error = DetectorUnavailableError
-
     def detect(self, frame: FrameImage, frame_index: int) -> list[FaceBox]:
         body = self.post({
             "frame_index": frame_index,
@@ -134,7 +132,7 @@ class RemoteDetector(JsonEndpoint, FaceDetector):
                 for b in body.get("boxes", [])
             ]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise self.error(f"{self.url} returned a malformed box: {exc!r}") from exc
+            raise ClientUnavailableError(f"{self.url} returned a malformed box: {exc!r}") from exc
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:

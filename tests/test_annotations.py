@@ -18,7 +18,7 @@ from emodeid.annotations import (
     split_dataset,
     split_from_ids,
 )
-from emodeid.errors import InsufficientDataError, ParseError, UnknownClassError
+from emodeid.errors import InsufficientDataError, ParseError
 
 
 def make_records(n_positive, n_negative, clips_per_video=0, duration_s=60.0):
@@ -46,7 +46,7 @@ def test_registry_has_exactly_37_classes():
 
 
 def test_clip_validation():
-    with pytest.raises(UnknownClassError):
+    with pytest.raises(ValueError, match="unknown body-language class: N99"):
         NfblClip("v", "N99", 0.0, 1.0)
     with pytest.raises(ValueError):
         NfblClip("v", "N9", 2.0, 2.0)
@@ -103,7 +103,7 @@ def test_parse_rejects_unknown_class():
              "clips": [{"class_id": "N99", "start_s": 1.0, "end_s": 2.0}]}
         ],
     }
-    with pytest.raises(UnknownClassError):
+    with pytest.raises(ParseError, match=r"^unknown body-language class: N99 \(video 'a'\)$"):
         parse_annotations(json.dumps(doc))
 
 

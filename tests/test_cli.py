@@ -340,11 +340,19 @@ def test_run_pipeline_rerun_byte_identical(tmp_path):
     ).read_bytes()
 
 
-def test_run_pipeline_rerun_removes_the_scores_it_cannot_write(tmp_path):
+def test_run_pipeline_rerun_removes_the_scores_it_cannot_write(tmp_path, capsys):
     # Each rerun goes into the first run's directory with fewer results.
     _, media, _, ann_path, fix_path = make_mock_dataset(tmp_path / "data")
     out_dir = tmp_path / "run"
     assert main(_pipeline_args(ann_path, media, out_dir, fix_path)) == 0
+    # A --mode v rerun removes the va and van files, so evaluate scores only v.
+    assert main(_pipeline_args(ann_path, media, out_dir, fix_path, mode="v")) == 0
+    for mode in ("va", "van"):
+        for name in ("results.jsonl", "failures.jsonl", "summary.txt"):
+            assert not (out_dir / mode / name).exists(), (mode, name)
+    capsys.readouterr()
+    assert main(["evaluate", str(out_dir), str(ann_path)]) == 0
+    assert capsys.readouterr().out == (out_dir / "ablation.txt").read_text()
     for audio in media.root.glob("*/audio.wav"):
         audio.unlink()
     assert main(_pipeline_args(ann_path, media, out_dir, fix_path)) == 0
@@ -546,6 +554,8 @@ _BOX = b'{"frame_index": 0, "x": 0, "y": 0, "w": 4, "h": 4}\n'
             for bad in (b"true", b"NaN", b"-1", b"11")
         ],
         (_config_file, b"[" * 100000 + b"]" * 100000, ""),
+        (_config_file, b'{"lpc-order": 16, "lamda": 0.5}', "'lamda', 'lpc-order'"),
+        (_config_file, b'{"config": "other.json"}', "'config'"),
     ],
     ids=[
         "annotations-videos-number", "annotations-videos-null", "annotations-not-utf8",
@@ -553,7 +563,8 @@ _BOX = b'{"frame_index": 0, "x": 0, "y": 0, "w": 4, "h": 4}\n'
         "boxes-infinity", "boxes-not-utf8", "fixtures-truncated", "fixtures-list",
         "results-not-json", "results-without-video-id", "results-empty", "results-mode-unknown",
         "results-confidence-true", "results-confidence-nan", "results-confidence-negative",
-        "results-confidence-above-10", "config-nested",
+        "results-confidence-above-10", "config-nested", "config-unknown-key",
+        "config-names-a-config",
     ],
 )
 def test_malformed_input_file_exits_4(tmp_path, capsys, make_args, data, where):

@@ -34,12 +34,11 @@ from emodeid.errors import (
 )
 from emodeid.pipeline import (
     NO_NFBL_LINE,
-    BatchOutcome,
     DirectoryMediaSource,
-    PipelineResult,
     SamplingConfig,
     build_mllm_prompt,
     default_prompts,
+    jsonl,
     judge_emotion,
     load_video_inputs,
     mode_request,
@@ -297,11 +296,11 @@ def test_batch_reads_the_prompts_once(mock_dataset, monkeypatch):
     reads = []
     real = pipeline.default_prompts
     monkeypatch.setattr(pipeline, "default_prompts", lambda: reads.append(1) or real())
-    outcome = run_batch(
+    results, _ = run_batch(
         records, media, SamplingConfig(frame_count=4), MockMllmClient(fixtures["mllm"]),
         MockLlmClient(fixtures["judge"]), modes=["van"], workers=2,
     )["van"]
-    assert len(outcome.results) == len(records)
+    assert len(results) == len(records)
     assert len(reads) == 1
 
 
@@ -313,10 +312,10 @@ def test_run_pipeline_deterministic(mock_dataset):
         mllm = MockMllmClient(fixtures["mllm"])
         judge = MockLlmClient(fixtures["judge"])
         results.append(_run(records[0], media, config, mllm, judge, "van"))
-    assert results[0].to_record() == results[1].to_record()
-    assert results[0].timing_s == 0.0
-    assert results[0].emotion is records[0].emotion
-    assert 0.0 <= results[0].confidence <= 10.0
+    assert results[0] == results[1]
+    assert results[0]["timing_s"] == 0.0
+    assert results[0]["emotion"] == records[0].emotion.value
+    assert 0.0 <= results[0]["confidence"] <= 10.0
 
 
 def test_video_only_mode_skips_audio(mock_dataset):
@@ -346,18 +345,19 @@ def test_batch_records_failures_and_continues(mock_dataset, tmp_path):
     # v000 has an NFBL clip, so its van request differs from its va request.
     broken = dict(fixtures["mllm"])
     del broken[mllm_request_digest(*_request(records[0], media, config, "van"))]
-    outcome = run_batch(
+    results, failures = run_batch(
         records, media, config, MockMllmClient(broken), judge, modes=["van"], workers=2
     )["van"]
-    assert len(outcome.failures) == 1
-    failure = outcome.failures[0]
+    assert len(failures) == 1
+    failure = failures[0]
     assert (failure["video_id"], failure["mode"]) == ("v000", "van")
     assert "no fixture transcript" in failure["error"]
-    assert [r.video_id for r in outcome.results] == ["v001", "v002"]
+    assert [r["video_id"] for r in results] == ["v001", "v002"]
 
-    write_results(tmp_path / "out", outcome)
+    write_results(tmp_path / "out", {"results.jsonl": jsonl(results),
+                                     "failures.jsonl": jsonl(failures)})
     back = read_results(tmp_path / "out" / "results.jsonl")
-    assert [r["video_id"] for r in back] == ["v001", "v002"]
+    assert back == results
     lines = (tmp_path / "out" / "failures.jsonl").read_text().splitlines()
     assert [json.loads(line) for line in lines] == [failure]
 
@@ -370,7 +370,7 @@ def test_mock_dataset_keeps_first_reply_of_a_shared_request(mock_dataset):
     texts = {
         mode: _run(
             records[1], media, config, MockMllmClient(fixtures["mllm"]), judge, mode
-        ).mllm_text
+        )["mllm_text"]
         for mode in ("va", "van")
     }
     assert texts["va"] == texts["van"] == "Descriptive response for v001 in mode va."
@@ -379,12 +379,12 @@ def test_mock_dataset_keeps_first_reply_of_a_shared_request(mock_dataset):
 def test_mock_dataset_honours_max_segments(tmp_path):
     config = SamplingConfig(frame_count=4, max_segments=1)
     records, media, fixtures, _, _ = make_mock_dataset(tmp_path, sampling=config)
-    outcome = run_batch(
+    results, failures = run_batch(
         records, media, config, MockMllmClient(fixtures["mllm"]),
         MockLlmClient(fixtures["judge"]), modes=["va"], workers=1,
     )["va"]
-    assert outcome.failures == []
-    assert [r.emotion for r in outcome.results] == [r.emotion for r in records]
+    assert failures == []
+    assert [r["emotion"] for r in results] == [r.emotion.value for r in records]
 
 
 @pytest.mark.parametrize("mode", ["va", "van"])
@@ -393,27 +393,27 @@ def test_audio_shorter_than_one_segment_is_a_failure(mock_dataset, mode):
     # would replay the mode-v answer.
     records, media, fixtures, _, _ = mock_dataset
     write_wav(media.root / "v001" / "audio.wav", AudioSignal(np.zeros(16000), 16000))
-    outcome = run_batch(
+    results, failures = run_batch(
         records, media, SamplingConfig(frame_count=4), MockMllmClient(fixtures["mllm"]),
         MockLlmClient(fixtures["judge"]), modes=[mode], workers=1,
     )[mode]
-    assert [(f["video_id"], f["mode"]) for f in outcome.failures] == [("v001", mode)]
-    assert "shorter than one segment" in outcome.failures[0]["error"]
-    assert [r.video_id for r in outcome.results] == ["v000", "v002"]
+    assert [(f["video_id"], f["mode"]) for f in failures] == [("v001", mode)]
+    assert "shorter than one segment" in failures[0]["error"]
+    assert [r["video_id"] for r in results] == ["v000", "v002"]
 
 
 @pytest.mark.parametrize("corrupt", [_corrupt_frame_header, _corrupt_audio_data])
 def test_batch_survives_corrupt_media(mock_dataset, corrupt):
     records, media, fixtures, _, _ = mock_dataset
     corrupt(media, "v001")
-    outcome = run_batch(
+    results, failures = run_batch(
         records, media, SamplingConfig(frame_count=4),
         MockMllmClient(fixtures["mllm"]), MockLlmClient(fixtures["judge"]),
         modes=["van"], workers=2,
     )["van"]
-    assert [(f["video_id"], f["mode"]) for f in outcome.failures] == [("v001", "van")]
-    assert str(media.root / "v001") in outcome.failures[0]["error"]
-    assert [r.video_id for r in outcome.results] == ["v000", "v002"]
+    assert [(f["video_id"], f["mode"]) for f in failures] == [("v001", "van")]
+    assert str(media.root / "v001") in failures[0]["error"]
+    assert [r["video_id"] for r in results] == ["v000", "v002"]
 
 
 def test_all_modes_attribute_media_failures_per_mode(mock_dataset):
@@ -433,14 +433,14 @@ def test_all_modes_attribute_media_failures_per_mode(mock_dataset):
         MockLlmClient(fixtures["judge"]), workers=2,
     )
     assert list(outcomes) == ["v", "va", "van"]
-    assert [r.video_id for r in outcomes["v"].results] == ["v000", "v001"]
+    assert [r["video_id"] for r in outcomes["v"][0]] == ["v000", "v001"]
     expected = {"v": [("v002", errors["v002"])]}
     for mode in ("va", "van"):
-        assert [r.video_id for r in outcomes[mode].results] == ["v000"]
+        assert [r["video_id"] for r in outcomes[mode][0]] == ["v000"]
         expected[mode] = [("v001", errors["v001"]), ("v002", errors["v002"])]
     assert {
-        mode: [(f["video_id"], f["error"]) for f in outcome.failures if f["mode"] == mode]
-        for mode, outcome in outcomes.items()
+        mode: [(f["video_id"], f["error"]) for f in failures if f["mode"] == mode]
+        for mode, (_, failures) in outcomes.items()
     } == expected
 
 
@@ -457,24 +457,26 @@ def test_all_modes_attribute_unreadable_media_per_mode(mock_dataset):
         records, media, SamplingConfig(frame_count=4), MockMllmClient(fixtures["mllm"]),
         MockLlmClient(fixtures["judge"]), workers=2,
     )
-    assert [r.video_id for r in outcomes["v"].results] == ["v000", "v001"]
-    assert [(f["video_id"], f["mode"]) for f in outcomes["v"].failures] == [("v002", "v")]
-    assert str(frame) in outcomes["v"].failures[0]["error"]
+    results, failures = outcomes["v"]
+    assert [r["video_id"] for r in results] == ["v000", "v001"]
+    assert [(f["video_id"], f["mode"]) for f in failures] == [("v002", "v")]
+    assert str(frame) in failures[0]["error"]
     for mode in ("va", "van"):
-        outcome = outcomes[mode]
-        assert [r.video_id for r in outcome.results] == ["v000"]
-        failures = [(f["video_id"], f["mode"]) for f in outcome.failures]
-        assert failures == [("v001", mode), ("v002", mode)]
-        assert str(audio) in outcome.failures[0]["error"]
-        assert str(frame) in outcome.failures[1]["error"]
+        results, failures = outcomes[mode]
+        assert [r["video_id"] for r in results] == ["v000"]
+        assert [(f["video_id"], f["mode"]) for f in failures] == [("v001", mode), ("v002", mode)]
+        assert str(audio) in failures[0]["error"]
+        assert str(frame) in failures[1]["error"]
 
 
-def _outcome(video_id):
-    return BatchOutcome(results=[PipelineResult(video_id, "van", "text", Emotion.POSITIVE, 7.0)])
+def _results(video_id):
+    record = {"video_id": video_id, "mode": "van", "mllm_text": "text", "emotion": "positive",
+              "confidence": 7.0, "confidence_clamped": False, "timing_s": 0.0}
+    return {"results.jsonl": jsonl([record])}
 
 
 def test_write_results_is_atomic(tmp_path, monkeypatch):
-    write_results(tmp_path, _outcome("v000"))
+    write_results(tmp_path, _results("v000"))
     before = (tmp_path / "results.jsonl").read_bytes()
 
     def fail_replace(src, dst):
@@ -482,7 +484,7 @@ def test_write_results_is_atomic(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", fail_replace)
     with pytest.raises(OSError, match="disk full"):
-        write_results(tmp_path, _outcome("v001"))
+        write_results(tmp_path, _results("v001"))
     monkeypatch.undo()
     assert (tmp_path / "results.jsonl").read_bytes() == before
     assert list(tmp_path.glob(".results.jsonl.*")) == []
@@ -504,8 +506,9 @@ def test_atomic_path_leaves_creating_the_temp_file_to_the_writer(tmp_path):
 
 
 _served_paths: list[str] = []
-# 200 replies whose JSON has the wrong shape, by request path.
-_MALFORMED = {"/list": ["not", "an", "object"], "/numeric-text": {"text": 5}}
+# 200 replies with no usable text (JSON of the wrong shape, a blank text), by path.
+_MALFORMED = {"/list": ["not", "an", "object"], "/numeric-text": {"text": 5},
+              "/blank": {"text": "  "}}
 
 
 @pytest.fixture
@@ -588,27 +591,41 @@ def test_remote_client_rejects_malformed_reply(inference_server, path):
 def test_batch_records_malformed_reply_per_video(mock_dataset, inference_server):
     records, media, fixtures, _, _ = mock_dataset
     with closing(RemoteMllmClient(inference_server + "/list", timeout_s=5.0)) as mllm:
-        outcome = run_batch(
+        results, failures = run_batch(
             records, media, SamplingConfig(frame_count=4), mllm,
             MockLlmClient(fixtures["judge"]), modes=["v"], workers=2,
         )["v"]
-    assert outcome.results == []
-    assert sorted(f["video_id"] for f in outcome.failures) == ["v000", "v001", "v002"]
-    assert all("not an object" in f["error"] for f in outcome.failures)
+    assert results == []
+    assert sorted(f["video_id"] for f in failures) == ["v000", "v001", "v002"]
+    assert all("not an object" in f["error"] for f in failures)
 
 
 def test_batch_records_too_deeply_nested_reply_per_video(mock_dataset, inference_server):
     records, media, fixtures, _, _ = mock_dataset
     url = inference_server + "/deep"
     with closing(RemoteMllmClient(url, timeout_s=5.0, backoff_s=0.01)) as mllm:
-        outcome = run_batch(
+        results, failures = run_batch(
             records, media, SamplingConfig(frame_count=4), mllm,
             MockLlmClient(fixtures["judge"]), modes=["v"], workers=2,
         )["v"]
-    assert outcome.results == []
-    assert [f["video_id"] for f in outcome.failures] == ["v000", "v001", "v002"]
-    assert all(f"{url} unreachable after 3 attempts" in f["error"] for f in outcome.failures)
+    assert results == []
+    assert [f["video_id"] for f in failures] == ["v000", "v001", "v002"]
+    assert all(f"{url} unreachable after 3 attempts" in f["error"] for f in failures)
     assert _served_paths == ["/deep"] * 9
+
+
+def test_batch_records_blank_reply_per_video_without_retry(mock_dataset, inference_server):
+    records, media, fixtures, _, _ = mock_dataset
+    url = inference_server + "/blank"
+    with closing(RemoteMllmClient(url, timeout_s=5.0, backoff_s=0.01)) as mllm:
+        results, failures = run_batch(
+            records, media, SamplingConfig(frame_count=4), mllm,
+            MockLlmClient(fixtures["judge"]), modes=["v"], workers=2,
+        )["v"]
+    assert results == []
+    assert [f["video_id"] for f in failures] == ["v000", "v001", "v002"]
+    assert all(f["error"] == f"{url} returned an empty response" for f in failures)
+    assert _served_paths == ["/blank"] * len(records)
 
 
 def test_endpoint_keeps_one_session_per_thread():

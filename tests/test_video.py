@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from emodeid.errors import DetectorUnavailableError, InvalidParamError, ParseError
+from emodeid.errors import ClientUnavailableError, InvalidParamError, ParseError
 from emodeid.video import (
     FaceBox,
     FrameImage,
@@ -278,11 +278,11 @@ def test_remote_detector_retries_on_5xx(fake_detector_server):
 
 def test_remote_detector_rejects_box_without_y(fake_detector_server):
     detector = RemoteDetector(fake_detector_server.replace("/detect", "/no-y"), timeout_s=5.0)
-    with closing(detector), pytest.raises(DetectorUnavailableError, match="malformed box"):
+    with closing(detector), pytest.raises(ClientUnavailableError, match="malformed box"):
         detector.detect(checkerboard(64, 48), 0)
 
 
 def test_remote_detector_unreachable():
     detector = RemoteDetector("http://127.0.0.1:1/detect", timeout_s=0.2, backoff_s=0.01)
-    with pytest.raises(DetectorUnavailableError):
+    with pytest.raises(ClientUnavailableError, match="unreachable after 3 attempts"):
         detector.detect(checkerboard(), 0)
