@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import InsufficientDataError, ParseError
+from .errors import MALFORMED, InvalidParamError, ParseError, parse_json
 
 FORMAT_MARKER = "nfbl-annotations/1"
 
@@ -138,26 +138,27 @@ class VideoRecord:
                 )
 
 
-def parse_annotations(text: str | bytes) -> list[VideoRecord]:
-    """Parse an annotation document (str or bytes); errors carry record context."""
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise ParseError(f"invalid JSON: {exc}")
+def _annotated_videos(doc) -> list:
+    """The ``videos`` list of a decoded annotation document."""
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_MARKER:
         raise ParseError(f"document must declare format {FORMAT_MARKER!r}")
     videos = doc.get("videos", [])
     if not isinstance(videos, list):
         raise ParseError("videos must be a list")
+    return videos
+
+
+def parse_annotations(text: str | bytes) -> list[VideoRecord]:
+    """Parse an annotation document (str or bytes); errors carry record context."""
     records = []
     seen = set()
-    for idx, video in enumerate(videos):
+    for idx, video in enumerate(parse_json(text, _annotated_videos, "annotation document")):
         ctx = f"video #{idx}"
         try:
             video_id = str(video["video_id"])
             ctx = f"video {video_id!r}"
             if video_id in seen:
-                raise ParseError("duplicate video_id", context=ctx)
+                raise ParseError(f"duplicate video_id ({ctx})")
             seen.add(video_id)
             clips = [
                 NfblClip(video_id, str(c["class_id"]), float(c["start_s"]), float(c["end_s"]),
@@ -166,8 +167,8 @@ def parse_annotations(text: str | bytes) -> list[VideoRecord]:
             ]
             records.append(VideoRecord(video_id, Emotion(str(video["emotion"]).lower()),
                                        float(video["duration_s"]), float(video["fps"]), clips))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(str(exc), context=ctx)
+        except MALFORMED as exc:
+            raise ParseError(f"{exc} ({ctx})")
     return records
 
 
@@ -204,7 +205,7 @@ def load_annotations(path: str | Path) -> list[VideoRecord]:
     try:
         return parse_annotations(Path(path).read_bytes())
     except ParseError as exc:
-        raise ParseError(str(exc), context=str(path)) from None
+        raise ParseError(f"{exc} ({path})") from None
 
 
 def nfbl_histogram(records: list[VideoRecord]) -> dict[str, int]:
@@ -264,7 +265,7 @@ def split_dataset(
     need = train_per_class + test_per_class
     for emotion, group in by_class.items():
         if len(group) < need:
-            raise InsufficientDataError(
+            raise InvalidParamError(
                 f"need {need} {emotion.value} videos, have {len(group)}"
             )
     rng = random.Random(seed)
@@ -290,16 +291,20 @@ def split_from_ids(
     by_id = {rec.video_id: rec for rec in records}
     missing = (train_ids | test_ids) - set(by_id)
     if missing:
-        raise InsufficientDataError(f"unknown video ids: {sorted(missing)}")
+        raise InvalidParamError(f"unknown video ids: {sorted(missing)}")
     train = sorted((by_id[v] for v in train_ids), key=lambda r: r.video_id)
     test = sorted((by_id[v] for v in test_ids), key=lambda r: r.video_id)
     return train, test
 
 
+def _split_ids(doc) -> tuple[list[str], list[str]]:
+    train, test = doc["train"], doc["test"]
+    if not all(isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+               for ids in (train, test)):
+        raise TypeError("train and test must be lists of video id strings")
+    return train, test
+
+
 def load_split_override(path: str | Path) -> tuple[list[str], list[str]]:
     """Read a split override file: {"train": [...ids], "test": [...ids]}."""
-    try:
-        doc = json.loads(Path(path).read_text())
-        return list(doc["train"]), list(doc["test"])
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ParseError(f"bad split override file: {exc}", context=str(path))
+    return parse_json(Path(path).read_bytes(), _split_ids, "split override file", str(path))

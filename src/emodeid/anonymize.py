@@ -8,7 +8,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import AudioSignal, FrameParams, frame_signal, hann_window, overlap_add
-from .errors import EmptyInputError, InvalidParamError, UnstableFilterError
+from .errors import InvalidParamError
 
 MAX_POLE_MAGNITUDE = 1.0 - 1e-6
 # Poles within this angle of 0 or pi count as real; warped angles stay this
@@ -147,12 +147,12 @@ def _stable_rows(coeffs: np.ndarray) -> np.ndarray:
 def _synthesize_rows(residual: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """``synthesize`` on every row: all-pole filtering with zero initial state.
 
-    Raises UnstableFilterError when any row's filter has a pole on or outside
+    Raises InvalidParamError when any row's filter has a pole on or outside
     the unit circle.
     """
     n, p = coeffs.shape[0], coeffs.shape[1] - 1
     if not np.all(_stable_rows(coeffs)):
-        raise UnstableFilterError("synthesis filter has poles outside the unit circle")
+        raise InvalidParamError("synthesis filter has poles outside the unit circle")
     # y[:, p + t] is output sample t; the p leading zeros are the initial state.
     y = np.zeros((n, p + residual.shape[1]))
     taps = coeffs[:, :0:-1]
@@ -172,7 +172,7 @@ def anonymize_mcadams(audio: AudioSignal, params: AnonymizationParams) -> AudioS
     at a time, which bounds the memory of the intermediate stacks.
     """
     if audio.samples.size == 0:
-        raise EmptyInputError("cannot anonymize an empty signal")
+        raise InvalidParamError("cannot anonymize an empty signal")
     params.frame.validate_for_rate(audio.sample_rate_hz)
     if params.frame.win_samples(audio.sample_rate_hz) > audio.samples.size:
         raise InvalidParamError("the analysis window is longer than the signal")

@@ -21,7 +21,7 @@ from . import metrics as met
 from .anonymize import AnonymizationParams, anonymize_mcadams
 from .clients import MockLlmClient, MockMllmClient, RemoteLlmClient, RemoteMllmClient
 from .dsp import FrameParams
-from .errors import ClientUnavailableError, EmodeidError, ParseError
+from .errors import ClientUnavailableError, EmodeidError, ParseError, parse_json
 from .pipeline import (
     MODES,
     DirectoryMediaSource,
@@ -41,6 +41,13 @@ EXIT_REMOTE = 3
 EXIT_VALIDATION = 4
 
 
+def _config_values(doc) -> dict:
+    scalars = (str, int, float, type(None))
+    if not (isinstance(doc, dict) and all(isinstance(v, scalars) for v in doc.values())):
+        raise TypeError("config must be a JSON object of strings, numbers and nulls")
+    return doc
+
+
 def _load_config(ctx, param, path):
     """Make a --config JSON object click's ``default_map``.
 
@@ -52,20 +59,13 @@ def _load_config(ctx, param, path):
     """
     if path is None:
         return
-    try:
-        doc = json.loads(path.read_text())
-    except (ValueError, RecursionError) as exc:
-        raise ParseError(f"bad config file: {exc}", context=str(path))
-    scalars = (str, int, float, type(None))
-    if not (isinstance(doc, dict) and all(isinstance(v, scalars) for v in doc.values())):
-        raise ParseError("config must be a JSON object of strings, numbers and nulls",
-                         context=str(path))
+    doc = parse_json(path.read_bytes(), _config_values, "config file", str(path))
     # The file cannot name another config file: this option has already run.
     options = {p.name for p in ctx.command.params if isinstance(p, click.Option)} - {param.name}
     unknown = sorted(set(doc) - options)
     if unknown:
         raise ParseError(f"unknown config key {', '.join(map(repr, unknown))}: "
-                         f"{ctx.info_name} has no such option", context=str(path))
+                         f"{ctx.info_name} has no such option ({path})")
     ctx.default_map = {key: str(value) for key, value in doc.items() if value is not None}
 
 
@@ -144,17 +144,13 @@ def cmd_mask_frames(frames_dir, output_dir, boxes_path, detector_url):
     click.echo(f"masked {len(paths)} frames into {output_dir}")
 
 
-def _load_fixtures(path: Path) -> tuple[dict, dict]:
-    """The MLLM and judge reply tables of a --mock-fixtures file."""
-    try:
-        doc = json.loads(path.read_bytes())
-        # A document that is not an object of objects fails on .get or .values.
-        tables = doc.get("mllm", {}), doc.get("judge", {})
-        if all(isinstance(text, str) for table in tables for text in table.values()):
-            return tables
-    except (ValueError, RecursionError, AttributeError) as exc:
-        raise ParseError(f"bad fixture file: {exc}", context=str(path))
-    raise ParseError("fixture replies must be strings", context=str(path))
+def _fixture_tables(doc) -> tuple[dict, dict]:
+    """The MLLM and judge reply tables of a --mock-fixtures document."""
+    # A document that is not an object of objects fails on .get or .values.
+    tables = doc.get("mllm", {}), doc.get("judge", {})
+    if not all(isinstance(text, str) for table in tables for text in table.values()):
+        raise TypeError("fixture replies must be strings")
+    return tables
 
 
 def _build_clients(fixtures, mllm_endpoint, judge_endpoint, auth_token, timeout_s, max_attempts):
@@ -190,7 +186,8 @@ def _build_clients(fixtures, mllm_endpoint, judge_endpoint, auth_token, timeout_
 def cmd_run_pipeline(annotations_path, media_root, output_dir, mock_fixtures, auth_token, **cfg):
     """Run the two-stage inference over every annotated video."""
     records = ann.load_annotations(annotations_path)
-    fixtures = _load_fixtures(mock_fixtures) if mock_fixtures is not None else None
+    fixtures = (parse_json(mock_fixtures.read_bytes(), _fixture_tables, "fixture file",
+                           str(mock_fixtures)) if mock_fixtures is not None else None)
     media = DirectoryMediaSource(media_root)
     sampling = SamplingConfig(
         frame_count=cfg["frame_count"],
@@ -248,7 +245,7 @@ def cmd_evaluate(results_path, annotations_path):
         for rec in read_results(path):
             vid, mode = rec["video_id"], rec["mode"]
             if vid not in labels:
-                raise ParseError(f"no label for video {vid}", context=str(path))
+                raise ParseError(f"no label for video {vid} ({path})")
             if (mode, vid) in seen:
                 raise ParseError(f"video {vid} in mode {mode} appears twice: "
                                  f"in {seen[mode, vid]} and in {path}")

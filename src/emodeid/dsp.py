@@ -15,7 +15,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sps
 from scipy import sparse
 
-from .errors import EmptyInputError, InvalidParamError, UnstableFilterError
+from .errors import InvalidParamError
 
 MEL_LOG_FLOOR = 1e-6
 STFT_WIN_S = 0.025
@@ -94,7 +94,7 @@ def frame_signal(audio: AudioSignal, params: FrameParams) -> np.ndarray:
     sample i * shift_samples.
     """
     if audio.samples.size == 0:
-        raise EmptyInputError("cannot frame an empty signal")
+        raise InvalidParamError("cannot frame an empty signal")
     win = params.win_samples(audio.sample_rate_hz)
     shift = params.shift_samples(audio.sample_rate_hz)
     n = frame_count(audio.samples.size, win, shift)
@@ -214,7 +214,7 @@ def synthesize(residual: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     if coefficients.size > 1:
         roots = poly_roots(coefficients)
         if roots.size and np.max(np.abs(roots)) >= 1.0:
-            raise UnstableFilterError("synthesis filter has poles outside the unit circle")
+            raise InvalidParamError("synthesis filter has poles outside the unit circle")
     return sps.lfilter([1.0], coefficients, np.asarray(residual, dtype=np.float64))
 
 
@@ -302,7 +302,7 @@ def mel_spectrogram(audio: AudioSignal, bins: int = 128) -> MelSpectrogram:
     win = int(round(STFT_WIN_S * audio.sample_rate_hz))
     hop = int(round(STFT_HOP_S * audio.sample_rate_hz))
     if audio.samples.size < win:
-        raise EmptyInputError("signal is shorter than one analysis window")
+        raise InvalidParamError("signal is shorter than one analysis window")
     frames = sliding_window_view(audio.samples, win)[::hop] * hann_window(win)
     spectrum = np.abs(np.fft.rfft(frames, n=STFT_NFFT, axis=1)) ** 2
     fb = _mel_filterbank_csr(bins, STFT_NFFT, audio.sample_rate_hz)

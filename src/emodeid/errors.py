@@ -1,39 +1,21 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the one reader of the
+JSON documents that come from outside the program."""
+
+import json
+from pathlib import Path
 
 
 class EmodeidError(Exception):
     """Base class for all toolkit errors."""
 
 
-class EmptyInputError(EmodeidError):
-    """An operation received an empty signal or collection."""
-
-
 class InvalidParamError(EmodeidError):
-    """A parameter violates its documented contract."""
-
-
-class UnstableFilterError(EmodeidError):
-    """Synthesis filter has poles on or outside the unit circle."""
+    """A parameter, signal or collection violates its documented contract."""
 
 
 class ParseError(EmodeidError):
-    """A structured document could not be parsed.
-
-    ``context`` carries line/record information when available.
-    """
-
-    def __init__(self, message, context=None):
-        super().__init__(message if context is None else f"{message} ({context})")
-        self.context = context
-
-
-class InsufficientDataError(EmodeidError):
-    """Not enough records to satisfy a split request."""
-
-
-class LengthMismatchError(EmodeidError):
-    """Paired sequences have different lengths."""
+    """A structured document could not be parsed; the message names the file,
+    and the line or record when known, in parentheses at its end."""
 
 
 class ClientUnavailableError(EmodeidError):
@@ -42,3 +24,28 @@ class ClientUnavailableError(EmodeidError):
 
 class JudgeParseError(EmodeidError):
     """Judge reply did not match the answer grammar, even after a retry."""
+
+
+# What a malformed document raises between its bytes and a checked value:
+# json.loads raises ValueError (UnicodeDecodeError too) or, nested too deeply,
+# RecursionError; a check that indexes, converts or calls into a value of the
+# wrong shape raises the rest.
+MALFORMED = (ValueError, RecursionError, KeyError, TypeError, AttributeError, OverflowError)
+
+
+def parse_json(data: str | bytes, check, what: str, context: str | None = None):
+    """``check`` applied to the JSON document ``data``. Anything MALFORMED
+    that decoding or the check raises becomes a ParseError, "bad <what>:
+    <reason>", followed by " (<context>)" when a context is given."""
+    try:
+        return check(json.loads(data))
+    except MALFORMED as exc:
+        raise ParseError(f"bad {what}: {exc}" + (f" ({context})" if context else ""))
+
+
+def parse_json_lines(path: str | Path, check, what: str) -> list:
+    """``check`` applied to each non-blank line of a JSON-lines file; an error
+    names the file and the line."""
+    return [parse_json(line, check, what, f"{path}: line {lineno}")
+            for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1)
+            if line.strip()]

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .annotations import Emotion
-from .errors import EmptyInputError, LengthMismatchError
+from .errors import InvalidParamError
 from .pipeline import MODES
 
 
@@ -47,11 +47,11 @@ class EvalReport:
 def confusion(predictions, labels) -> ConfusionCounts:
     """Per-item counts with POSITIVE as the positive class."""
     if len(predictions) != len(labels):
-        raise LengthMismatchError(
+        raise InvalidParamError(
             f"{len(predictions)} predictions vs {len(labels)} labels"
         )
     if not predictions:
-        raise EmptyInputError("nothing to evaluate")
+        raise InvalidParamError("nothing to evaluate")
     tp = tn = fp = fn = 0
     for pred, label in zip(predictions, labels):
         if label is Emotion.POSITIVE:

@@ -23,13 +23,7 @@ from pathlib import Path
 from .annotations import NFBL_REGISTRY, Emotion, NfblClip, VideoRecord
 from .clients import LlmClient, MllmClient
 from .dsp import STFT_WIN_S, AudioSignal, mel_spectrogram
-from .errors import (
-    EmodeidError,
-    EmptyInputError,
-    InvalidParamError,
-    JudgeParseError,
-    ParseError,
-)
+from .errors import EmodeidError, InvalidParamError, JudgeParseError, parse_json_lines
 from .video import FrameImage, list_frames, read_ppm
 from .wavio import read_wav
 
@@ -104,7 +98,7 @@ def sample_frames_uniform(total_frames: int, m: int) -> list[int]:
 def segment_audio(audio: AudioSignal, seg_s: float) -> list[AudioSignal]:
     """Consecutive non-overlapping clips of seg_s seconds; remainder dropped."""
     if audio.samples.size == 0:
-        raise EmptyInputError("cannot segment an empty signal")
+        raise InvalidParamError("cannot segment an empty signal")
     if seg_s <= 0:
         raise InvalidParamError("segment length must be positive")
     seg = int(round(seg_s * audio.sample_rate_hz))
@@ -147,7 +141,7 @@ def parse_judge_reply(reply: str) -> tuple[Emotion, float, bool]:
 def judge_emotion(client: LlmClient, mllm_text: str, template: str) -> tuple[Emotion, float, bool]:
     """Judge the descriptive text; one reformat retry before giving up."""
     if not mllm_text.strip():
-        raise EmptyInputError("descriptive text is empty")
+        raise InvalidParamError("descriptive text is empty")
     prompt = template.format(response=mllm_text)
     try:
         return parse_judge_reply(client.complete(prompt))
@@ -191,7 +185,7 @@ def load_video_inputs(record: VideoRecord, media: DirectoryMediaSource, config: 
     when the audio gives no clips, its error stands in for them and each audio mode raises it."""
     total = media.frame_count(record.video_id)
     if total < 1:
-        raise EmptyInputError(f"no frames for video {record.video_id}")
+        raise InvalidParamError(f"no frames for video {record.video_id}")
     # More frames than the video has would only repeat frames.
     indices = sample_frames_uniform(total, min(config.frame_count, total))
     frames = [media.load_frame(record.video_id, i).to_array() for i in indices]
@@ -201,7 +195,7 @@ def load_video_inputs(record: VideoRecord, media: DirectoryMediaSource, config: 
         segments = segment_audio(media.load_audio(record.video_id), config.audio_segment_s)
         if not segments:
             # Without a spectrogram the request would be the mode-v request.
-            raise EmptyInputError(f"audio of video {record.video_id} is shorter than one segment")
+            raise InvalidParamError(f"audio of video {record.video_id} is shorter than one segment")
         specs = [mel_spectrogram(seg, bins=config.mel_bins).values
                  for seg in segments[: config.max_segments]]
     except _VIDEO_ERRORS as exc:
@@ -314,28 +308,23 @@ def write_results(out_dir: str | Path, files: dict[str, str | None]) -> None:
             tmp.write_text(text, encoding="utf-8")
 
 
+def _result_record(rec) -> dict:
+    Emotion(rec["emotion"])
+    if not isinstance(rec["video_id"], str):
+        raise TypeError("video_id must be a string")
+    if rec["mode"] not in MODES:
+        raise ValueError(f"mode must be one of {tuple(MODES)}, not {rec['mode']!r}")
+    confidence = rec["confidence"]
+    # bool is an int, and NaN fails every comparison.
+    if isinstance(confidence, bool) or not (
+        isinstance(confidence, (int, float)) and 0.0 <= confidence <= 10.0
+    ):
+        raise ValueError(f"confidence must be a number in [0, 10], not {confidence!r}")
+    return rec
+
+
 def read_results(path: str | Path) -> list[dict]:
     """The records of a results.jsonl file; a line that is not a result record
     (string video_id, a mode of MODES, known emotion, a confidence in [0, 10]
     as ``parse_judge_reply`` gives) raises ParseError."""
-    records = []
-    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            Emotion(rec["emotion"])
-            if not isinstance(rec["video_id"], str):
-                raise TypeError("video_id must be a string")
-            if rec["mode"] not in MODES:
-                raise ValueError(f"mode must be one of {tuple(MODES)}, not {rec['mode']!r}")
-            confidence = rec["confidence"]
-            # bool is an int, and NaN fails every comparison.
-            if isinstance(confidence, bool) or not (
-                isinstance(confidence, (int, float)) and 0.0 <= confidence <= 10.0
-            ):
-                raise ValueError(f"confidence must be a number in [0, 10], not {confidence!r}")
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise ParseError(f"bad result record: {exc!r}", context=f"{path}: line {lineno}")
-        records.append(rec)
-    return records
+    return parse_json_lines(path, _result_record, "result record")

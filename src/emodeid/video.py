@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import base64
 import functools
-import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .clients import JsonEndpoint
-from .errors import ClientUnavailableError, InvalidParamError, ParseError
+from .errors import ClientUnavailableError, InvalidParamError, ParseError, parse_json_lines
 
 
 @dataclass
@@ -82,28 +81,20 @@ class FaceDetector(ABC):
         """Release open connections, if the detector holds any."""
 
 
+def _face_box(rec) -> FaceBox:
+    box = FaceBox(int(rec["frame_index"]), int(rec["x"]), int(rec["y"]),
+                  int(rec["w"]), int(rec["h"]))
+    if box.w <= 0 or box.h <= 0:
+        raise ValueError("box width/height must be positive")
+    return box
+
+
 class SidecarDetector(FaceDetector):
     """Boxes read from a sidecar file, keyed by frame index."""
 
     def __init__(self, path: str | Path):
         self.boxes: dict[int, list[FaceBox]] = {}
-        for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
-            if not line.strip():
-                continue
-            ctx = f"{path}: line {lineno}"
-            try:
-                rec = json.loads(line)
-                box = FaceBox(
-                    int(rec["frame_index"]),
-                    int(rec["x"]),
-                    int(rec["y"]),
-                    int(rec["w"]),
-                    int(rec["h"]),
-                )
-            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-                raise ParseError(f"bad box record: {exc}", context=ctx)
-            if box.w <= 0 or box.h <= 0:
-                raise ParseError("box width/height must be positive", context=ctx)
+        for box in parse_json_lines(path, _face_box, "box record"):
             self.boxes.setdefault(box.frame_index, []).append(box)
 
     def detect(self, frame: FrameImage, frame_index: int) -> list[FaceBox]:
@@ -230,20 +221,19 @@ def read_ppm(path: str | Path) -> FrameImage:
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
         if start == pos:
-            raise ParseError("truncated PPM header", context=str(path))
+            raise ParseError(f"truncated PPM header ({path})")
         fields.append(data[start:pos])
     if fields[0] != b"P6":
-        raise ParseError("only binary P6 PPM is supported", context=str(path))
+        raise ParseError(f"only binary P6 PPM is supported ({path})")
     if not all(f.isdigit() and len(f) <= 9 for f in fields[1:]):
-        raise ParseError("PPM width, height and maxval must be decimal, at most 9 digits",
-                         context=str(path))
+        raise ParseError(f"PPM width, height and maxval must be decimal, at most 9 digits ({path})")
     width, height, maxval = (int(f) for f in fields[1:])
     if maxval != 255:
-        raise ParseError("only maxval 255 is supported", context=str(path))
+        raise ParseError(f"only maxval 255 is supported ({path})")
     pos += 1
     pixels = memoryview(data)[pos : pos + width * height * 3]
     if len(pixels) != width * height * 3:
-        raise ParseError("PPM pixel data truncated", context=str(path))
+        raise ParseError(f"PPM pixel data truncated ({path})")
     return FrameImage(width, height, 3, pixels)
 
 

@@ -22,7 +22,7 @@ def read_wav(path: str | Path) -> tuple[AudioSignal, str]:
     """Read a waveform file; returns (mono signal, source encoding)."""
     data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise ParseError("not a RIFF/WAVE file", context=str(path))
+        raise ParseError(f"not a RIFF/WAVE file ({path})")
     pos = 12
     fmt = None
     payload = None
@@ -31,36 +31,37 @@ def read_wav(path: str | Path) -> tuple[AudioSignal, str]:
         (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
         body = data[pos + 8 : pos + 8 + chunk_size]
         if len(body) < chunk_size:
-            raise ParseError("truncated chunk", context=f"{path}: {chunk_id!r}")
+            raise ParseError(f"truncated chunk ({path}: {chunk_id!r})")
         if chunk_id == b"fmt ":
             if chunk_size < 16:
-                raise ParseError("fmt chunk too short", context=str(path))
+                raise ParseError(f"fmt chunk too short ({path})")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif chunk_id == b"data":
             payload = body
         pos += 8 + chunk_size + (chunk_size & 1)
     if fmt is None or payload is None:
-        raise ParseError("missing fmt or data chunk", context=str(path))
+        raise ParseError(f"missing fmt or data chunk ({path})")
     tag, channels, rate, _, _, bits = fmt
     if tag == 1 and bits == 16:
         dtype, encoding = "<i2", PCM16
     elif tag == 3 and bits == 32:
         dtype, encoding = "<f4", FLOAT32
     else:
-        raise ParseError(
-            f"unsupported encoding (format tag {tag}, {bits}-bit)", context=str(path)
-        )
+        raise ParseError(f"unsupported encoding (format tag {tag}, {bits}-bit) ({path})")
     if len(payload) % (bits // 8):
-        raise ParseError("data chunk is not a whole number of samples", context=str(path))
+        raise ParseError(f"data chunk is not a whole number of samples ({path})")
     samples = np.frombuffer(payload, dtype=dtype).astype(np.float64)
     if encoding == PCM16:
         samples /= 32768.0
     if channels < 1:
-        raise ParseError("channel count must be positive", context=str(path))
+        raise ParseError(f"channel count must be positive ({path})")
     if channels > 1:
         samples = samples[: len(samples) - len(samples) % channels]
         samples = samples.reshape(-1, channels).mean(axis=1)
-    return AudioSignal(samples, rate), encoding
+    try:
+        return AudioSignal(samples, rate), encoding
+    except InvalidParamError as exc:
+        raise ParseError(f"{exc} ({path})")
 
 
 def write_wav(path: str | Path, audio: AudioSignal, encoding: str = PCM16) -> None:

@@ -96,11 +96,21 @@ def _corrupt_frame_header(media, video_id):
     frames[index].write_bytes(b"P6\nx" + data[data.index(b" "):])
 
 
+def wav_bytes(payload, rate=16000, tag=1, bits=16):
+    """A mono RIFF/WAVE file with ``payload`` as its data chunk; the header
+    holds whatever it is given (tag 1 is integer PCM, 3 is IEEE float)."""
+    block = bits // 8
+    return struct.pack(
+        "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(payload), b"WAVE", b"fmt ", 16,
+        tag, 1, rate, rate * block, block, bits, b"data", len(payload),
+    ) + payload
+
+
 def _corrupt_audio_data(media, video_id):
     # PCM16 data chunk one byte long: not a whole number of samples
-    payload = bytes(1)
-    header = struct.pack(
-        "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(payload), b"WAVE", b"fmt ", 16,
-        1, 1, 16000, 32000, 2, 16, b"data", len(payload),
-    )
-    (media.root / video_id / "audio.wav").write_bytes(header + payload)
+    (media.root / video_id / "audio.wav").write_bytes(wav_bytes(bytes(1)))
+
+
+def _corrupt_audio_rate(media, video_id):
+    # a well-formed PCM16 file whose header gives a sample rate of 0
+    (media.root / video_id / "audio.wav").write_bytes(wav_bytes(bytes(64000), rate=0))

@@ -18,7 +18,7 @@ from emodeid.annotations import (
     split_dataset,
     split_from_ids,
 )
-from emodeid.errors import InsufficientDataError, ParseError
+from emodeid.errors import InvalidParamError, ParseError
 
 
 def make_records(n_positive, n_negative, clips_per_video=0, duration_s=60.0):
@@ -173,7 +173,7 @@ def test_split_deterministic():
 
 
 def test_split_insufficient_data():
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(InvalidParamError, match="need 73 positive videos, have 40"):
         split_dataset(make_records(40, 20), seed=0)
 
 
@@ -187,7 +187,7 @@ def test_split_from_ids_and_override_file(tmp_path):
     assert [r.video_id for r in test] == ["v0001"]
     with pytest.raises(ParseError):
         split_from_ids(records, ["v0000"], ["v0000"])
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(InvalidParamError, match=r"unknown video ids: \['nope'\]"):
         split_from_ids(records, ["nope"], ["v0001"])
 
 

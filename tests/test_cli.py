@@ -20,7 +20,7 @@ from emodeid.pipeline import SamplingConfig, default_prompts, load_video_inputs,
 from emodeid.video import FrameImage, read_ppm, write_ppm
 from emodeid.wavio import PCM16, read_wav, write_wav
 
-from conftest import _corrupt_audio_data, _corrupt_frame_header, make_mock_dataset
+from conftest import _corrupt_audio_data, _corrupt_frame_header, make_mock_dataset, wav_bytes
 
 
 @pytest.fixture
@@ -518,6 +518,12 @@ def _config_file(tmp_path, data):
     return ["anonymize-audio", "--config", str(path), str(wav), str(tmp_path / "out.wav")], path
 
 
+def _wav_file(tmp_path, data):
+    path = tmp_path / "in.wav"
+    path.write_bytes(data)
+    return ["anonymize-audio", str(path), str(tmp_path / "out.wav")], path
+
+
 def _results_file(tmp_path, data):
     _, _, _, ann_path, _ = make_mock_dataset(tmp_path / "data")
     path = tmp_path / "results.jsonl"
@@ -556,6 +562,8 @@ _BOX = b'{"frame_index": 0, "x": 0, "y": 0, "w": 4, "h": 4}\n'
         (_config_file, b"[" * 100000 + b"]" * 100000, ""),
         (_config_file, b'{"lpc-order": 16, "lamda": 0.5}', "'lamda', 'lpc-order'"),
         (_config_file, b'{"config": "other.json"}', "'config'"),
+        (_wav_file, wav_bytes(bytes(400), rate=0), ""),
+        (_wav_file, wav_bytes(np.array([0.0, np.nan], "<f4").tobytes(), tag=3, bits=32), ""),
     ],
     ids=[
         "annotations-videos-number", "annotations-videos-null", "annotations-not-utf8",
@@ -564,7 +572,7 @@ _BOX = b'{"frame_index": 0, "x": 0, "y": 0, "w": 4, "h": 4}\n'
         "results-not-json", "results-without-video-id", "results-empty", "results-mode-unknown",
         "results-confidence-true", "results-confidence-nan", "results-confidence-negative",
         "results-confidence-above-10", "config-nested", "config-unknown-key",
-        "config-names-a-config",
+        "config-names-a-config", "wav-rate-zero", "wav-float-nan",
     ],
 )
 def test_malformed_input_file_exits_4(tmp_path, capsys, make_args, data, where):

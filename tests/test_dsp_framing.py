@@ -8,7 +8,7 @@ from emodeid.dsp import (
     hann_window,
     overlap_add,
 )
-from emodeid.errors import EmptyInputError, InvalidParamError
+from emodeid.errors import InvalidParamError
 
 
 def test_one_second_at_16k_gives_99_frames():
@@ -36,7 +36,7 @@ def test_short_signal_zero_padded_to_one_frame():
 
 
 def test_empty_audio_rejected():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(InvalidParamError, match="cannot frame an empty signal"):
         frame_signal(AudioSignal(np.zeros(0), 16000), FrameParams())
 
 

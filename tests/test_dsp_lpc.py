@@ -10,7 +10,7 @@ from emodeid.dsp import (
     poly_roots,
     synthesize,
 )
-from emodeid.errors import InvalidParamError, UnstableFilterError
+from emodeid.errors import InvalidParamError
 
 
 def normal_equation_order1(frame):
@@ -102,7 +102,8 @@ def test_synthesize_geometric_impulse_response():
 
 
 def test_synthesize_rejects_unstable_filter():
-    with pytest.raises(UnstableFilterError):
+    with pytest.raises(InvalidParamError,
+                       match="synthesis filter has poles outside the unit circle"):
         synthesize(np.ones(10), [1.0, -1.5])
 
 

@@ -20,7 +20,7 @@ from emodeid.dsp import (
     mel_spectrogram,
     mel_to_hz,
 )
-from emodeid.errors import EmptyInputError
+from emodeid.errors import InvalidParamError
 
 from conftest import speech_with_pauses
 
@@ -43,7 +43,7 @@ def test_mel_silence_hits_log_floor():
 
 
 def test_mel_short_input_rejected():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(InvalidParamError, match="signal is shorter than one analysis window"):
         mel_spectrogram(AudioSignal(np.zeros(100), 16000))
 
 

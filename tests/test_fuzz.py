@@ -10,8 +10,9 @@ import struct
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from emodeid.annotations import FORMAT_MARKER, Emotion, parse_annotations
-from emodeid.errors import EmodeidError
+from emodeid.annotations import FORMAT_MARKER, Emotion, load_split_override, parse_annotations
+from emodeid.cli import _fixture_tables
+from emodeid.errors import EmodeidError, parse_json
 from emodeid.pipeline import MODES, parse_judge_reply, read_results
 from emodeid.video import SidecarDetector, read_ppm
 from emodeid.wavio import read_wav
@@ -91,6 +92,48 @@ def test_read_results_raises_only_emodeid_errors(tmp_path, body):
         Emotion(rec["emotion"])
         assert isinstance(rec["video_id"], str) and rec["mode"] in MODES
         assert type(rec["confidence"]) in (int, float) and 0.0 <= rec["confidence"] <= 10.0
+
+
+_IDS = st.lists(st.text(max_size=4), max_size=3) | _JSON
+
+
+@FUZZ
+@given(body=st.binary() | st.builds(
+    lambda train, test: json.dumps({"train": train, "test": test}).encode(), _IDS, _IDS
+))
+@example(body=b"\xff")
+@example(body=b"[" * 100000 + b"]" * 100000)
+@example(body=b'{"train": "v1", "test": ["v2"]}')
+def test_load_split_override_raises_only_emodeid_errors(tmp_path, body):
+    path = tmp_path / "split.json"
+    path.write_bytes(body)
+    try:
+        ids = load_split_override(path)
+    except EmodeidError:
+        return
+    assert len(ids) == 2  # what it accepts is two lists of id strings
+    assert all(type(part) is list and all(type(i) is str for i in part) for part in ids)
+
+
+_TABLE = st.dictionaries(st.text(max_size=4), _SCALARS, max_size=3) | _JSON
+
+
+@FUZZ
+@given(doc=st.binary() | _JSON.map(json.dumps) | st.builds(
+    lambda mllm, judge: json.dumps({"mllm": mllm, "judge": judge}), _TABLE, _TABLE
+))
+@example(doc=b"{")
+@example(doc=b"[1]")
+@example(doc='{"mllm": {"k": 1}}')
+def test_fixture_tables_raise_only_emodeid_errors(doc):
+    try:
+        tables = parse_json(doc, _fixture_tables, "fixture file")
+    except EmodeidError:
+        return
+    assert len(tables) == 2  # what it accepts is two tables of strings
+    for table in tables:
+        assert type(table) is dict
+        assert all(type(k) is str and type(v) is str for k, v in table.items())
 
 
 def _chunk(chunk_id, body):

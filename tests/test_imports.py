@@ -1,5 +1,6 @@
 """Every module-level import in src/, tests/ and scripts/ is read in its module
-or listed in its ``__all__``, unless the import says ``# noqa: F401``."""
+or listed in its ``__all__``, unless the import says ``# noqa: F401``; and
+``errors.py`` is the one module of the package that decodes JSON."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,33 @@ def test_no_unused_module_level_imports():
         for problem in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+def json_decoding_lines(source: str) -> list[int]:
+    """The lines that name ``json.load`` or ``json.loads``, or import either."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("load", "loads"):
+            if isinstance(node.value, ast.Name) and node.value.id == "json":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            if any(alias.name in ("load", "loads") for alias in node.names):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_checker_sees_json_decoding():
+    source = (
+        "import json\nfrom json import dumps, loads as parse\nx = json.loads('1')\n"
+        "print(json.dumps(x), parse, x.load)\nread = json.load\n"
+    )
+    assert json_decoding_lines(source) == [2, 3, 5]
+
+
+def test_json_is_decoded_only_in_errors():
+    found = [
+        path.name
+        for path in sorted((ROOT / "src" / "emodeid").glob("*.py"))
+        if json_decoding_lines(path.read_text(encoding="utf-8"))
+    ]
+    assert found == ["errors.py"]

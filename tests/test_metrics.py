@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emodeid.annotations import Emotion
-from emodeid.errors import EmptyInputError, LengthMismatchError
+from emodeid.errors import InvalidParamError
 from emodeid.metrics import (
     ConfusionCounts,
     ablation_csv,
@@ -74,9 +74,9 @@ def test_zero_denominator_conventions():
 
 
 def test_length_mismatch_and_empty():
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(InvalidParamError, match="1 predictions vs 2 labels"):
         confusion([P], [P, N])
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(InvalidParamError, match="nothing to evaluate"):
         confusion([], [])
 
 

@@ -27,7 +27,6 @@ from emodeid.clients import (
 from emodeid.dsp import AudioSignal
 from emodeid.errors import (
     ClientUnavailableError,
-    EmptyInputError,
     InvalidParamError,
     JudgeParseError,
     ParseError,
@@ -53,7 +52,12 @@ from emodeid.pipeline import (
 from emodeid.video import FrameImage, RemoteDetector, write_ppm
 from emodeid.wavio import read_wav, write_wav
 
-from conftest import _corrupt_audio_data, _corrupt_frame_header, make_mock_dataset
+from conftest import (
+    _corrupt_audio_data,
+    _corrupt_audio_rate,
+    _corrupt_frame_header,
+    make_mock_dataset,
+)
 
 
 def test_sample_frames_long_video():
@@ -85,7 +89,7 @@ def test_segment_audio_long_video():
 def test_segment_audio_exact_and_short():
     assert len(segment_audio(AudioSignal(np.zeros(32000), 16000), 2.0)) == 1
     assert segment_audio(AudioSignal(np.zeros(30400), 16000), 2.0) == []
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(InvalidParamError, match="cannot segment an empty signal"):
         segment_audio(AudioSignal(np.zeros(0), 16000), 2.0)
 
 
@@ -402,7 +406,7 @@ def test_audio_shorter_than_one_segment_is_a_failure(mock_dataset, mode):
     assert [r["video_id"] for r in results] == ["v000", "v002"]
 
 
-@pytest.mark.parametrize("corrupt", [_corrupt_frame_header, _corrupt_audio_data])
+@pytest.mark.parametrize("corrupt", [_corrupt_frame_header, _corrupt_audio_data, _corrupt_audio_rate])
 def test_batch_survives_corrupt_media(mock_dataset, corrupt):
     records, media, fixtures, _, _ = mock_dataset
     corrupt(media, "v001")
