@@ -287,7 +287,7 @@ def split_from_ids(
     train_ids, test_ids = set(train_ids), set(test_ids)
     overlap = train_ids & test_ids
     if overlap:
-        raise ParseError(f"ids in both train and test: {sorted(overlap)}")
+        raise InvalidParamError(f"ids in both train and test: {sorted(overlap)}")
     by_id = {rec.video_id: rec for rec in records}
     missing = (train_ids | test_ids) - set(by_id)
     if missing:

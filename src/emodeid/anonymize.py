@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,17 +100,36 @@ def _fir_rows(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return np.einsum("inj,ij->in", lags, coeffs[:, ::-1])
 
 
-def _roots_rows(coeffs: np.ndarray) -> np.ndarray:
-    """``poly_roots`` on every monic row, from one stacked eigenvalue call.
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    LAPACK returns the complex eigenvalues of a real matrix in exact
-    conjugate pairs, so only ``poly_roots``' snap to the real axis is needed.
+
+def _roots_rows(coeffs: np.ndarray) -> np.ndarray:
+    """``poly_roots`` on every monic row, from stacked eigenvalue calls.
+
+    The companion stack is split into one contiguous share of rows per
+    usable CPU. The calling thread solves the first share while a pool
+    solves the rest; ``eigvals`` releases the GIL inside LAPACK, and each
+    matrix's eigenvalues do not depend on the other rows, so the result is
+    the same bit for bit whatever the share count. LAPACK returns the
+    complex eigenvalues of a real matrix in exact conjugate pairs, so only
+    ``poly_roots``' snap to the real axis is needed.
     """
     n, p = coeffs.shape[0], coeffs.shape[1] - 1
     companion = np.zeros((n, p, p))
     companion[:, 0, :] = -coeffs[:, 1:]
     companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
-    roots = np.linalg.eigvals(companion).astype(np.complex128)
+    shares = np.array_split(companion, min(n, _usable_cpus()))
+    if len(shares) == 1:
+        roots = np.linalg.eigvals(companion)
+    else:
+        with ThreadPoolExecutor(len(shares) - 1) as pool:
+            rest = pool.map(np.linalg.eigvals, shares[1:])
+            roots = np.concatenate([np.linalg.eigvals(shares[0]), *rest])
+    roots = roots.astype(np.complex128)
     return np.where(np.abs(roots.imag) < 1e-10, roots.real + 0j, roots)
 
 

@@ -185,7 +185,7 @@ def test_split_from_ids_and_override_file(tmp_path):
     train, test = split_from_ids(records, train_ids, test_ids)
     assert [r.video_id for r in train] == ["v0000", "v0002"]
     assert [r.video_id for r in test] == ["v0001"]
-    with pytest.raises(ParseError):
+    with pytest.raises(InvalidParamError, match="ids in both train and test"):
         split_from_ids(records, ["v0000"], ["v0000"])
     with pytest.raises(InvalidParamError, match=r"unknown video ids: \['nope'\]"):
         split_from_ids(records, ["nope"], ["v0001"])

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -343,3 +345,38 @@ def test_one_eigenvalue_call_per_block(monkeypatch):
     x = np.random.default_rng(45).uniform(-0.5, 0.5, (2 * block_frames(28) + 10) * shift)
     anonymize_mcadams(AudioSignal(x, RATE), AnonymizationParams(frame=frame))
     assert len(calls) == 3
+
+
+def _anonymized_on(monkeypatch, cpus, x, params):
+    monkeypatch.setattr(anonymize, "_usable_cpus", lambda: cpus)
+    return anonymize_mcadams(AudioSignal(x, RATE), params).samples
+
+
+# 7 shares is more than the CPUs of most test hosts, and divides neither the
+# 201 frames of a 2 s clip nor the 522-frame blocks at order 28.
+@pytest.mark.parametrize("order, lam, shifts", [
+    (20, 0.8, 200),
+    (20, 1.3, 200),
+    (28, 0.8, block_frames(28) + 150),
+])
+def test_output_bytes_do_not_depend_on_the_share_count(monkeypatch, order, lam, shifts):
+    frame = FrameParams(lpc_order=order)
+    x = speech_with_pauses(np.random.default_rng(46), shifts * frame.shift_samples(RATE))
+    params = AnonymizationParams(frame=frame, mcadams_lambda=lam)
+    one = _anonymized_on(monkeypatch, 1, x, params)
+    for cpus in (2, 3, 7):
+        np.testing.assert_array_equal(_anonymized_on(monkeypatch, cpus, x, params), one)
+
+
+def test_shares_run_on_distinct_threads(monkeypatch):
+    eigvals, calls = np.linalg.eigvals, []
+
+    def recording(stack):
+        calls.append((threading.get_ident(), stack.shape[0]))
+        return eigvals(stack)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    x = speech_with_pauses(np.random.default_rng(48), 2 * RATE)
+    _anonymized_on(monkeypatch, 2, x, AnonymizationParams())
+    assert sorted(rows for _, rows in calls) == [100, 101]
+    assert len({thread for thread, _ in calls}) == 2
