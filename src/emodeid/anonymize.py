@@ -101,10 +101,8 @@ def _fir_rows(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """CPUs this process may run on, from its affinity mask."""
+    return len(os.sched_getaffinity(0))
 
 
 def _roots_rows(coeffs: np.ndarray) -> np.ndarray:
@@ -123,12 +121,10 @@ def _roots_rows(coeffs: np.ndarray) -> np.ndarray:
     companion[:, 0, :] = -coeffs[:, 1:]
     companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
     shares = np.array_split(companion, min(n, _usable_cpus()))
-    if len(shares) == 1:
-        roots = np.linalg.eigvals(companion)
-    else:
-        with ThreadPoolExecutor(len(shares) - 1) as pool:
-            rest = pool.map(np.linalg.eigvals, shares[1:])
-            roots = np.concatenate([np.linalg.eigvals(shares[0]), *rest])
+    # The pool starts at most one thread per task, so one share starts none.
+    with ThreadPoolExecutor(len(shares)) as pool:
+        rest = pool.map(np.linalg.eigvals, shares[1:])
+        roots = np.concatenate([np.linalg.eigvals(shares[0]), *rest])
     roots = roots.astype(np.complex128)
     return np.where(np.abs(roots.imag) < 1e-10, roots.real + 0j, roots)
 
