@@ -100,8 +100,9 @@ def _fir_rows(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return np.einsum("inj,ij->in", lags, coeffs[:, ::-1])
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on, from its affinity mask."""
+def usable_cpus() -> int:
+    """CPUs this process may run on, from its affinity mask: the eigenvalue
+    share count here, and ``run-pipeline``'s default ``--workers``."""
     return len(os.sched_getaffinity(0))
 
 
@@ -120,7 +121,7 @@ def _roots_rows(coeffs: np.ndarray) -> np.ndarray:
     companion = np.zeros((n, p, p))
     companion[:, 0, :] = -coeffs[:, 1:]
     companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
-    shares = np.array_split(companion, min(n, _usable_cpus()))
+    shares = np.array_split(companion, min(n, usable_cpus()))
     # The pool starts at most one thread per task, so one share starts none.
     with ThreadPoolExecutor(len(shares)) as pool:
         rest = pool.map(np.linalg.eigvals, shares[1:])

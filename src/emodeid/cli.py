@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -18,7 +17,7 @@ import click
 
 from . import annotations as ann
 from . import metrics as met
-from .anonymize import AnonymizationParams, anonymize_mcadams
+from .anonymize import AnonymizationParams, anonymize_mcadams, usable_cpus
 from .clients import MockLlmClient, MockMllmClient, RemoteLlmClient, RemoteMllmClient
 from .dsp import FrameParams
 from .errors import ClientUnavailableError, EmodeidError, ParseError, parse_json
@@ -181,7 +180,7 @@ def _build_clients(fixtures, mllm_endpoint, judge_endpoint, auth_token, timeout_
 @click.option("--audio-segment-s", type=float, default=SamplingConfig.audio_segment_s)
 @click.option("--mel-bins", type=int, default=SamplingConfig.mel_bins)
 @click.option("--max-segments", type=int, default=None)
-@click.option("--workers", type=click.IntRange(min=1), default=lambda: os.cpu_count() or 4)
+@click.option("--workers", type=click.IntRange(min=1), default=usable_cpus)
 @_config_option
 def cmd_run_pipeline(annotations_path, media_root, output_dir, mock_fixtures, auth_token, **cfg):
     """Run the two-stage inference over every annotated video."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .annotations import Emotion
@@ -10,94 +11,60 @@ from .pipeline import MODES
 
 
 @dataclass(frozen=True)
-class ConfusionCounts:
+class EvalReport:
+    """Confusion counts with POSITIVE as the positive class; the rates derive
+    from them, and a rate with a zero denominator reads 0.0."""
+
     tp: int
     tn: int
     fp: int
     fn: int
+    mean_confidence: float
 
     @property
     def total(self) -> int:
         return self.tp + self.tn + self.fp + self.fn
 
+    @property
+    def accuracy(self) -> float:
+        return (self.tp + self.tn) / self.total
 
-@dataclass
-class EvalReport:
-    counts: ConfusionCounts
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-    mean_confidence: float
+    @property
+    def precision(self) -> float:
+        denom = self.tp + self.fp
+        return self.tp / denom if denom else 0.0
+
+    @property
+    def recall(self) -> float:
+        denom = self.tp + self.fn
+        return self.tp / denom if denom else 0.0
+
+    @property
+    def f1(self) -> float:
+        p, r = self.precision, self.recall
+        return 2.0 * p * r / (p + r) if p + r else 0.0
 
     def format(self) -> str:
-        c = self.counts
-        return "\n".join(
-            [
-                f"Items          {c.total} (tp={c.tp} tn={c.tn} fp={c.fp} fn={c.fn})",
-                f"Accuracy (%)   {100 * self.accuracy:.2f}",
-                f"F-score (%)    {100 * self.f1:.2f}",
-                f"Precision (%)  {100 * self.precision:.2f}",
-                f"Recall (%)     {100 * self.recall:.2f}",
-                f"Mean confidence {self.mean_confidence:.2f}",
-            ]
-        )
+        return "\n".join([
+            f"Items          {self.total} (tp={self.tp} tn={self.tn} fp={self.fp} fn={self.fn})",
+            f"Accuracy (%)   {100 * self.accuracy:.2f}",
+            f"F-score (%)    {100 * self.f1:.2f}",
+            f"Precision (%)  {100 * self.precision:.2f}",
+            f"Recall (%)     {100 * self.recall:.2f}",
+            f"Mean confidence {self.mean_confidence:.2f}",
+        ])
 
 
-def confusion(predictions, labels) -> ConfusionCounts:
-    """Per-item counts with POSITIVE as the positive class."""
+def evaluate(predictions, labels, confidences) -> EvalReport:
     if len(predictions) != len(labels):
-        raise InvalidParamError(
-            f"{len(predictions)} predictions vs {len(labels)} labels"
-        )
+        raise InvalidParamError(f"{len(predictions)} predictions vs {len(labels)} labels")
     if not predictions:
         raise InvalidParamError("nothing to evaluate")
-    tp = tn = fp = fn = 0
-    for pred, label in zip(predictions, labels):
-        if label is Emotion.POSITIVE:
-            if pred is Emotion.POSITIVE:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if pred is Emotion.POSITIVE:
-                fp += 1
-            else:
-                tn += 1
-    return ConfusionCounts(tp, tn, fp, fn)
-
-
-def accuracy(counts: ConfusionCounts) -> float:
-    return (counts.tp + counts.tn) / counts.total
-
-
-def precision(counts: ConfusionCounts) -> float:
-    denom = counts.tp + counts.fp
-    return counts.tp / denom if denom else 0.0
-
-
-def recall(counts: ConfusionCounts) -> float:
-    denom = counts.tp + counts.fn
-    return counts.tp / denom if denom else 0.0
-
-
-def f1(counts: ConfusionCounts) -> float:
-    p, r = precision(counts), recall(counts)
-    return 2.0 * p * r / (p + r) if p + r else 0.0
-
-
-def evaluate(predictions, labels, confidences=None) -> EvalReport:
-    counts = confusion(predictions, labels)
-    mean_conf = (
-        sum(confidences) / len(confidences) if confidences else 0.0
-    )
+    pairs = Counter(zip(predictions, labels))
+    P, N = Emotion.POSITIVE, Emotion.NEGATIVE
     return EvalReport(
-        counts=counts,
-        accuracy=accuracy(counts),
-        precision=precision(counts),
-        recall=recall(counts),
-        f1=f1(counts),
-        mean_confidence=mean_conf,
+        tp=pairs[P, P], tn=pairs[N, N], fp=pairs[P, N], fn=pairs[N, P],
+        mean_confidence=sum(confidences) / len(confidences),
     )
 
 

@@ -236,8 +236,8 @@ def run_pipeline(record: VideoRecord, inputs: tuple, mode: str, mllm: MllmClient
 
 
 def run_batch(records: list[VideoRecord], media: DirectoryMediaSource, config: SamplingConfig,
-              mllm: MllmClient, judge: LlmClient, modes=MODES,
-              workers: int = 4) -> dict[str, tuple[list[dict], list[dict]]]:
+              mllm: MllmClient, judge: LlmClient, modes=MODES, *,
+              workers: int) -> dict[str, tuple[list[dict], list[dict]]]:
     """``{mode: (results, failures)}``: each (video, mode) pair yields one
     result record or one failure record. A pool task per video builds its
     inputs once and runs every mode on them; the pool maps over the videos in

@@ -30,7 +30,7 @@ from emodeid.dsp import (
     poly_roots,
     synthesize,
 )
-from emodeid.metrics import accuracy, confusion, f1, precision, recall
+from emodeid.metrics import evaluate
 from emodeid.video import FaceBox, FrameImage, mask_frames
 
 from conftest import ar_signal, make_mock_dataset, speech_like_poles
@@ -158,10 +158,10 @@ def test_root_coefficient_round_trip_bulk():
 def test_degenerate_all_positive_row():
     labels = [Emotion.POSITIVE] * 37 + [Emotion.NEGATIVE] * 37
     preds = [Emotion.POSITIVE] * 74
-    counts = confusion(preds, labels)
-    acc = f"{accuracy(counts) * 100:.2f}"
-    prec = f"{precision(counts) * 100:.2f}"
-    fsc = f"{f1(counts) * 100:.2f}"
+    report = evaluate(preds, labels, [0.0] * len(preds))
+    acc = f"{report.accuracy * 100:.2f}"
+    prec = f"{report.precision * 100:.2f}"
+    fsc = f"{report.f1 * 100:.2f}"
     assert (acc, prec, fsc) == ("50.00", "50.00", "66.67")
     _report(
         "all-positive predictor on a 37/37 split renders 50.00 accuracy, "
@@ -176,21 +176,21 @@ def test_metrics_oracle_equivalence_bulk():
         n = int(rng.integers(1, 200))
         preds = [choices[i] for i in rng.integers(0, 2, n)]
         labels = [choices[i] for i in rng.integers(0, 2, n)]
-        counts = confusion(preds, labels)
+        report = evaluate(preds, labels, [0.0] * n)
         tp = sum(p is Emotion.POSITIVE and l is Emotion.POSITIVE for p, l in zip(preds, labels))
         fp = sum(p is Emotion.POSITIVE and l is Emotion.NEGATIVE for p, l in zip(preds, labels))
         fn = sum(p is Emotion.NEGATIVE and l is Emotion.POSITIVE for p, l in zip(preds, labels))
         tn = sum(p is Emotion.NEGATIVE and l is Emotion.NEGATIVE for p, l in zip(preds, labels))
-        assert (counts.tp, counts.fp, counts.fn, counts.tn) == (tp, fp, fn, tn)
+        assert (report.tp, report.fp, report.fn, report.tn) == (tp, fp, fn, tn)
         oracle_acc = Fraction(tp + tn, n)
         oracle_prec = Fraction(tp, tp + fp) if tp + fp else Fraction(0)
         oracle_rec = Fraction(tp, tp + fn) if tp + fn else Fraction(0)
         denom = oracle_prec + oracle_rec
         oracle_f1 = 2 * oracle_prec * oracle_rec / denom if denom else Fraction(0)
-        assert abs(accuracy(counts) - float(oracle_acc)) < 1e-12
-        assert abs(precision(counts) - float(oracle_prec)) < 1e-12
-        assert abs(recall(counts) - float(oracle_rec)) < 1e-12
-        assert abs(f1(counts) - float(oracle_f1)) < 1e-12
+        assert abs(report.accuracy - float(oracle_acc)) < 1e-12
+        assert abs(report.precision - float(oracle_prec)) < 1e-12
+        assert abs(report.recall - float(oracle_rec)) < 1e-12
+        assert abs(report.f1 - float(oracle_f1)) < 1e-12
     _report(
         "metrics oracle: 1,000 random sets, counts bit-exact, derived "
         "metrics within 1e-12 of a rational-arithmetic oracle"

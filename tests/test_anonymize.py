@@ -348,7 +348,7 @@ def test_one_eigenvalue_call_per_block(monkeypatch):
 
 
 def _anonymized_on(monkeypatch, cpus, x, params):
-    monkeypatch.setattr(anonymize, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(anonymize, "usable_cpus", lambda: cpus)
     return anonymize_mcadams(AudioSignal(x, RATE), params).samples
 
 

@@ -286,6 +286,13 @@ def test_run_pipeline_mock_all_modes(tmp_path, capsys):
     )
 
 
+def test_run_pipeline_workers_default_to_the_usable_cpus(tmp_path, monkeypatch):
+    _, media, _, ann_path, fix_path = make_mock_dataset(tmp_path / "data", n_videos=2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert main(_pipeline_args(ann_path, media, tmp_path / "run", fix_path, mode="v")) == 0
+    assert json.loads((tmp_path / "run" / "config.json").read_text())["workers"] == 1
+
+
 def test_run_pipeline_all_modes_equals_one_run_per_mode(tmp_path):
     _, media, _, ann_path, fix_path = make_mock_dataset(tmp_path / "data", n_videos=4)
     _corrupt_audio_data(media, "v001")

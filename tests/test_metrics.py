@@ -6,18 +6,7 @@ from hypothesis import strategies as st
 
 from emodeid.annotations import Emotion
 from emodeid.errors import InvalidParamError
-from emodeid.metrics import (
-    ConfusionCounts,
-    ablation_csv,
-    ablation_report,
-    accuracy,
-    confusion,
-    evaluate,
-    f1,
-    precision,
-    recall,
-    score,
-)
+from emodeid.metrics import EvalReport, ablation_csv, ablation_report, evaluate, score
 
 P, N = Emotion.POSITIVE, Emotion.NEGATIVE
 
@@ -41,43 +30,47 @@ def rational_metrics(tp, tn, fp, fn):
     return acc, prec, rec, fsc
 
 
+def counted(predictions, labels):
+    """``evaluate`` with every confidence 0.0, so only the counts matter."""
+    return evaluate(predictions, labels, [0.0] * len(predictions))
+
+
 def test_perfect_predictions():
     preds = labels = [P] * 5 + [N] * 5
-    counts = confusion(preds, labels)
-    assert counts == ConfusionCounts(5, 5, 0, 0)
-    for metric in (accuracy, precision, recall, f1):
-        assert metric(counts) == 1.0
+    report = counted(preds, labels)
+    assert report == EvalReport(5, 5, 0, 0, 0.0)
+    assert report.accuracy == report.precision == report.recall == report.f1 == 1.0
 
 
 def test_all_positive_on_balanced_37_37():
     labels = [P] * 37 + [N] * 37
     preds = [P] * 74
-    counts = confusion(preds, labels)
-    assert counts == ConfusionCounts(37, 0, 37, 0)
-    assert f"{100 * accuracy(counts):.2f}" == "50.00"
-    assert f"{100 * precision(counts):.2f}" == "50.00"
-    assert f"{100 * f1(counts):.2f}" == "66.67"
-    assert recall(counts) == 1.0
+    report = counted(preds, labels)
+    assert report == EvalReport(37, 0, 37, 0, 0.0)
+    assert f"{100 * report.accuracy:.2f}" == "50.00"
+    assert f"{100 * report.precision:.2f}" == "50.00"
+    assert f"{100 * report.f1:.2f}" == "66.67"
+    assert report.recall == 1.0
 
 
 def test_symmetric_counts():
-    counts = ConfusionCounts(1, 1, 1, 1)
-    assert accuracy(counts) == precision(counts) == recall(counts) == f1(counts) == 0.5
+    report = EvalReport(1, 1, 1, 1, 0.0)
+    assert report.accuracy == report.precision == report.recall == report.f1 == 0.5
 
 
 def test_zero_denominator_conventions():
-    no_pred_pos = ConfusionCounts(0, 5, 0, 5)
-    assert precision(no_pred_pos) == 0.0
-    no_label_pos = ConfusionCounts(0, 5, 5, 0)
-    assert recall(no_label_pos) == 0.0
-    assert f1(ConfusionCounts(0, 10, 0, 0)) == 0.0
+    no_pred_pos = EvalReport(0, 5, 0, 5, 0.0)
+    assert no_pred_pos.precision == 0.0
+    no_label_pos = EvalReport(0, 5, 5, 0, 0.0)
+    assert no_label_pos.recall == 0.0
+    assert EvalReport(0, 10, 0, 0, 0.0).f1 == 0.0
 
 
 def test_length_mismatch_and_empty():
     with pytest.raises(InvalidParamError, match="1 predictions vs 2 labels"):
-        confusion([P], [P, N])
+        counted([P], [P, N])
     with pytest.raises(InvalidParamError, match="nothing to evaluate"):
-        confusion([], [])
+        counted([], [])
 
 
 def test_counts_match_oracle_on_random_vectors():
@@ -86,8 +79,8 @@ def test_counts_match_oracle_on_random_vectors():
     rng = random.Random(0)
     preds = [rng.choice((P, N)) for _ in range(1000)]
     labels = [rng.choice((P, N)) for _ in range(1000)]
-    counts = confusion(preds, labels)
-    assert (counts.tp, counts.tn, counts.fp, counts.fn) == naive_counts(preds, labels)
+    report = counted(preds, labels)
+    assert (report.tp, report.tn, report.fp, report.fn) == naive_counts(preds, labels)
 
 
 @settings(max_examples=200, deadline=None)
@@ -97,12 +90,12 @@ def test_counts_match_oracle_on_random_vectors():
 def test_metrics_match_rational_oracle(pairs):
     preds = [p for p, _ in pairs]
     labels = [l for _, l in pairs]
-    counts = confusion(preds, labels)
-    acc, prec, rec, fsc = rational_metrics(counts.tp, counts.tn, counts.fp, counts.fn)
-    assert abs(accuracy(counts) - float(acc)) < 1e-12
-    assert abs(precision(counts) - float(prec)) < 1e-12
-    assert abs(recall(counts) - float(rec)) < 1e-12
-    assert abs(f1(counts) - float(fsc)) < 1e-12
+    report = counted(preds, labels)
+    acc, prec, rec, fsc = rational_metrics(report.tp, report.tn, report.fp, report.fn)
+    assert abs(report.accuracy - float(acc)) < 1e-12
+    assert abs(report.precision - float(prec)) < 1e-12
+    assert abs(report.recall - float(rec)) < 1e-12
+    assert abs(report.f1 - float(fsc)) < 1e-12
 
 
 @settings(max_examples=100, deadline=None)
@@ -113,8 +106,8 @@ def test_metrics_match_rational_oracle(pairs):
 def test_permutation_invariance(pairs, rnd):
     shuffled = list(pairs)
     rnd.shuffle(shuffled)
-    a = confusion([p for p, _ in pairs], [l for _, l in pairs])
-    b = confusion([p for p, _ in shuffled], [l for _, l in shuffled])
+    a = counted([p for p, _ in pairs], [l for _, l in pairs])
+    b = counted([p for p, _ in shuffled], [l for _, l in shuffled])
     assert a == b
 
 
@@ -123,8 +116,8 @@ def test_permutation_invariance(pairs, rnd):
     st.lists(st.tuples(st.sampled_from([P, N]), st.sampled_from([P, N])), min_size=1, max_size=100)
 )
 def test_f1_harmonic_mean_bounds(pairs):
-    counts = confusion([p for p, _ in pairs], [l for _, l in pairs])
-    assert 0.0 <= f1(counts) <= 2.0 * min(precision(counts), recall(counts)) + 1e-15
+    report = counted([p for p, _ in pairs], [l for _, l in pairs])
+    assert 0.0 <= report.f1 <= 2.0 * min(report.precision, report.recall) + 1e-15
 
 
 def test_evaluate_mean_confidence():
@@ -174,3 +167,47 @@ def test_ablation_csv():
     csv = ablation_csv(reports({"v": [(P, P, 9.0)]}))
     assert csv.splitlines()[0] == "mode,accuracy_pct,f_score_pct,precision_pct,mean_confidence"
     assert csv.splitlines()[1] == "video,100.00,100.00,100.00,9.00"
+
+
+def test_report_texts_are_pinned_byte_for_byte():
+    # v predicts nothing positive (precision and F1 read 0.00); va is the
+    # all-positive predictor on a 37/37 split; 6.625 rounds half to even.
+    results = {
+        "van": [(P, P, 8.0)] * 2 + [(P, N, 4.0)] + [(N, P, 6.0)] * 3 + [(N, N, 7.5)] * 4,
+        "va": [(P, P, 6.0), (P, N, 9.0)] * 37,
+        "v": [(N, P, 5.0), (N, P, 6.0), (N, N, 7.0), (N, N, 8.5)],
+    }
+    scored = reports(results)
+    assert {mode: report.format() for mode, report in scored.items()} == {
+        "v": "Items          4 (tp=0 tn=2 fp=0 fn=2)\n"
+             "Accuracy (%)   50.00\n"
+             "F-score (%)    0.00\n"
+             "Precision (%)  0.00\n"
+             "Recall (%)     0.00\n"
+             "Mean confidence 6.62",
+        "va": "Items          74 (tp=37 tn=0 fp=37 fn=0)\n"
+              "Accuracy (%)   50.00\n"
+              "F-score (%)    66.67\n"
+              "Precision (%)  50.00\n"
+              "Recall (%)     100.00\n"
+              "Mean confidence 7.50",
+        "van": "Items          10 (tp=2 tn=4 fp=1 fn=3)\n"
+               "Accuracy (%)   60.00\n"
+               "F-score (%)    50.00\n"
+               "Precision (%)  66.67\n"
+               "Recall (%)     40.00\n"
+               "Mean confidence 6.80",
+    }
+    assert list(scored) == ["v", "va", "van"]
+    assert ablation_report(scored) == (
+        "Mode               Accuracy(%)  F-score(%)  Precision(%)  Confidence\n"
+        "video                    50.00        0.00          0.00        6.62\n"
+        "video+audio              50.00       66.67         50.00        7.50\n"
+        "video+audio+nfbl         60.00       50.00         66.67        6.80"
+    )
+    assert ablation_csv(scored) == (
+        "mode,accuracy_pct,f_score_pct,precision_pct,mean_confidence\n"
+        "video,50.00,0.00,0.00,6.62\n"
+        "video+audio,50.00,66.67,50.00,7.50\n"
+        "video+audio+nfbl,60.00,50.00,66.67,6.80"
+    )
