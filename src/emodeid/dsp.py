@@ -149,8 +149,38 @@ def lpc_residual(frame: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     return sps.lfilter(coefficients, [1.0], np.asarray(frame, dtype=np.float64))
 
 
+def _newton_polish(coefficients: np.ndarray, roots: np.ndarray, steps: int = 4) -> np.ndarray:
+    """Refine companion eigenvalues with Newton steps on the polynomial itself.
+
+    The eigenvalue solver's error scales with the companion matrix norm, so
+    clustered roots of a high-degree polynomial can come back several times
+    further off than the coefficients' own rounding allows. The residual is
+    evaluated in extended precision where the platform has it. A step is
+    kept only when it lowers |p(z)| and moves z less than half the way to
+    its nearest neighbour, so no root can jump onto another.
+    """
+    c = coefficients.astype(np.longdouble)
+    dc = np.polyder(c)
+    z = roots.astype(np.clongdouble)
+    gap = np.abs(roots[:, None] - roots[None, :])
+    np.fill_diagonal(gap, np.inf)
+    reach = 0.5 * gap.min(axis=1)
+    for _ in range(steps):
+        value = np.polyval(c, z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = value / np.polyval(dc, z)
+        moved = z - step
+        keep = (
+            np.isfinite(step)
+            & (np.abs(step) < reach)
+            & (np.abs(np.polyval(c, moved)) < np.abs(value))
+        )
+        z = np.where(keep, moved, z)
+    return z.astype(np.complex128)
+
+
 def poly_roots(coefficients: np.ndarray) -> np.ndarray:
-    """Roots of sum_k a_k z^(p-k) via companion-matrix eigenvalues.
+    """Roots of sum_k a_k z^(p-k) via companion-matrix eigenvalues, Newton-polished.
 
     Near-real roots are snapped to the real axis and complex roots are
     re-paired into exact conjugate pairs so downstream reconstruction
@@ -161,7 +191,7 @@ def poly_roots(coefficients: np.ndarray) -> np.ndarray:
         raise InvalidParamError("leading coefficient must be nonzero")
     if coefficients.size == 1:
         return np.zeros(0, dtype=np.complex128)
-    roots = np.roots(coefficients)
+    roots = _newton_polish(coefficients, np.roots(coefficients))
     roots = np.where(np.abs(roots.imag) < 1e-10, roots.real + 0j, roots)
     real = [z for z in roots if z.imag == 0.0]
     upper = sorted((z for z in roots if z.imag > 0.0), key=lambda z: (z.real, z.imag))
