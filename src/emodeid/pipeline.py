@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from .annotations import NFBL_REGISTRY, Emotion, NfblClip, VideoRecord
 from .clients import LlmClient, MllmClient
 from .dsp import STFT_WIN_S, AudioSignal, mel_spectrogram
@@ -171,8 +173,9 @@ class DirectoryMediaSource:
     def frame_count(self, video_id: str) -> int:
         return len(self._frame_paths(video_id))
 
-    def load_frame(self, video_id: str, index: int) -> FrameImage:
-        return read_ppm(self._frame_paths(video_id)[index])
+    def load_frame(self, video_id: str, index: int, out: np.ndarray | None = None) -> FrameImage:
+        """Frame ``index`` of a video, read into ``out`` as ``read_ppm`` does."""
+        return read_ppm(self._frame_paths(video_id)[index], out)
 
     def load_audio(self, video_id: str) -> AudioSignal:
         audio, _ = read_wav(self.root / video_id / "audio.wav")
@@ -182,13 +185,23 @@ class DirectoryMediaSource:
 def load_video_inputs(record: VideoRecord, media: DirectoryMediaSource, config: SamplingConfig,
                       audio: bool) -> tuple[list, list | Exception | None]:
     """One video's sampled frames and, if ``audio``, mel clips, built once for all its modes;
-    when the audio gives no clips, its error stands in for them and each audio mode raises it."""
+    when the audio gives no clips, its error stands in for them and each audio mode raises it.
+
+    The frames are read-only rows of one array sized from the first sampled
+    frame; a frame of another size keeps an array of its own."""
     total = media.frame_count(record.video_id)
     if total < 1:
         raise InvalidParamError(f"no frames for video {record.video_id}")
     # More frames than the video has would only repeat frames.
     indices = sample_frames_uniform(total, min(config.frame_count, total))
-    frames = [media.load_frame(record.video_id, i).to_array() for i in indices]
+    first = media.load_frame(record.video_id, indices[0]).to_array()
+    stack = np.empty((len(indices), *first.shape), np.uint8)
+    stack[0] = first
+    read = [first] + [media.load_frame(record.video_id, i, out=row).to_array()
+                      for i, row in zip(indices[1:], stack[1:])]
+    stack.flags.writeable = False
+    # A frame of another size than the first was read into an array of its own.
+    frames = [row if frame.shape == row.shape else frame for frame, row in zip(read, stack)]
     if not audio:
         return frames, None
     try:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import base64
 import functools
 import math
+import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
@@ -205,9 +206,15 @@ def list_frames(directory: Path) -> list[Path]:
     return sorted(directory.glob("*.ppm"), key=lambda p: p.name)
 
 
-def read_ppm(path: str | Path) -> FrameImage:
-    """Read a binary (P6) portable pixel map with maxval 255."""
-    data = Path(path).read_bytes()
+# Header bytes read at first; a longer header (a long comment) is read on in
+# doubling steps.
+_PPM_HEAD_BYTES = 64
+
+
+def _ppm_header_fields(data: bytes) -> tuple[list[bytes], int]:
+    """The first four whitespace-separated fields of a PPM header, ``#``
+    comments skipped, and the offset just past the last one; fewer fields
+    when ``data`` ends first."""
     fields: list[bytes] = []
     pos = 0
     while len(fields) < 4:
@@ -221,20 +228,52 @@ def read_ppm(path: str | Path) -> FrameImage:
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
         if start == pos:
-            raise ParseError(f"truncated PPM header ({path})")
+            break
         fields.append(data[start:pos])
-    if fields[0] != b"P6":
-        raise ParseError(f"only binary P6 PPM is supported ({path})")
-    if not all(f.isdigit() and len(f) <= 9 for f in fields[1:]):
-        raise ParseError(f"PPM width, height and maxval must be decimal, at most 9 digits ({path})")
-    width, height, maxval = (int(f) for f in fields[1:])
-    if maxval != 255:
-        raise ParseError(f"only maxval 255 is supported ({path})")
-    pos += 1
-    pixels = memoryview(data)[pos : pos + width * height * 3]
-    if len(pixels) != width * height * 3:
+    return fields, pos
+
+
+def read_ppm(path: str | Path, out: np.ndarray | None = None) -> FrameImage:
+    """Read a binary (P6) portable pixel map with maxval 255.
+
+    The pixels are read into ``out``, a C-contiguous uint8 array, when its
+    shape is the frame's (height, width, 3), and into a fresh array
+    otherwise; the frame's ``pixels`` is a read-only view of that array.
+    Bytes after the pixels are ignored.
+    """
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.read(_PPM_HEAD_BYTES)
+        fields, pos = _ppm_header_fields(data)
+        # A field or comment that reaches the end of the bytes read may go on.
+        while pos >= len(data) and (more := fh.read(len(data))):
+            data += more
+            fields, pos = _ppm_header_fields(data)
+        if len(fields) < 4:
+            raise ParseError(f"truncated PPM header ({path})")
+        if fields[0] != b"P6":
+            raise ParseError(f"only binary P6 PPM is supported ({path})")
+        if not all(f.isdigit() and len(f) <= 9 for f in fields[1:]):
+            raise ParseError(f"PPM width, height and maxval must be decimal, at most 9 digits ({path})")
+        width, height, maxval = (int(f) for f in fields[1:])
+        if maxval != 255:
+            raise ParseError(f"only maxval 255 is supported ({path})")
+        if width == 0 or height == 0:
+            raise ParseError(f"PPM width and height must be positive ({path})")
+        size, pos = width * height * 3, pos + 1
+        # Checked before allocating, so a header cannot ask for more memory
+        # than the file holds.
+        if os.fstat(fh.fileno()).st_size - pos < size:
+            raise ParseError(f"PPM pixel data truncated ({path})")
+        if out is None or out.shape != (height, width, 3):
+            out = np.empty((height, width, 3), np.uint8)
+        view = memoryview(out.reshape(-1))
+        got = len(head := data[pos : pos + size])
+        view[:got] = head
+        while got < size and (n := fh.readinto(view[got:])):
+            got += n
+    if got < size:
         raise ParseError(f"PPM pixel data truncated ({path})")
-    return FrameImage(width, height, 3, pixels)
+    return FrameImage(width, height, 3, view.toreadonly())
 
 
 def write_ppm(path: str | Path, frame: FrameImage) -> None:

@@ -16,8 +16,14 @@ from emodeid.annotations import NFBL_REGISTRY, nfbl_histogram
 from emodeid.cli import EXIT_REMOTE, EXIT_USAGE, EXIT_VALIDATION, main
 from emodeid.clients import JsonEndpoint, mllm_request_digest
 from emodeid.dsp import AudioSignal
-from emodeid.pipeline import SamplingConfig, default_prompts, load_video_inputs, mode_request
-from emodeid.video import FrameImage, read_ppm, write_ppm
+from emodeid.pipeline import (
+    SamplingConfig,
+    default_prompts,
+    load_video_inputs,
+    mode_request,
+    sample_frames_uniform,
+)
+from emodeid.video import FrameImage, list_frames, read_ppm, write_ppm
 from emodeid.wavio import PCM16, read_wav, write_wav
 
 from conftest import _corrupt_audio_data, _corrupt_frame_header, make_mock_dataset, wav_bytes
@@ -309,6 +315,19 @@ def test_run_pipeline_all_modes_equals_one_run_per_mode(tmp_path):
                      (tmp_path / "all" / mode / "failures.jsonl").read_text().splitlines()]
               for mode in ("v", "va", "van")}
     assert failed == {"v": ["v002"], "va": ["v001", "v002"], "van": ["v001", "v002"]}
+
+
+def test_run_pipeline_fails_a_video_whose_sampled_frame_is_empty(tmp_path):
+    _, media, _, ann_path, fix_path = make_mock_dataset(tmp_path / "data")
+    frames = list_frames(media.root / "v001" / "frames")
+    empty = frames[sample_frames_uniform(len(frames), 4)[1]]
+    empty.write_bytes(b"P6\n0 7\n255\n")
+    assert main(_pipeline_args(ann_path, media, tmp_path / "run", fix_path)) == 0
+    for mode in ("v", "va", "van"):
+        lines = (tmp_path / "run" / mode / "failures.jsonl").read_text().splitlines()
+        failures = [json.loads(line) for line in lines]
+        assert [(f["video_id"], f["mode"]) for f in failures] == [("v001", mode)]
+        assert str(empty) in failures[0]["error"]
 
 
 def test_inputs_are_built_once_per_video_for_all_modes(tmp_path, monkeypatch):

@@ -1,20 +1,47 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emodeid.dsp import poles_to_coeffs, poly_roots
 from emodeid.errors import InvalidParamError
 
 
-def match_roots(found, expected):
-    """Greedy nearest matching; returns the worst per-root distance."""
+def root_errors(found, expected):
+    """Each expected root's distance to its greedy nearest match in ``found``."""
     pool = list(found)
-    worst = 0.0
+    errors = []
     for z in expected:
         i = min(range(len(pool)), key=lambda i: abs(pool[i] - z))
-        worst = max(worst, abs(pool.pop(i) - z))
-    return worst
+        errors.append(abs(pool.pop(i) - z))
+    return np.array(errors)
+
+
+def match_roots(found, expected):
+    """Greedy nearest matching; returns the worst per-root distance."""
+    return float(root_errors(found, expected).max(initial=0.0))
+
+
+def root_conditions(poles):
+    """cond_i = prod over j != i of (|z_i| + |z_j|) / |z_i - z_j|, per pole.
+
+    ``poles_to_coeffs`` rounds each coefficient to within a few ulps of the
+    matching coefficient of prod_j (z + |z_j|). By Wilkinson's first-order
+    bound, root z_i then moves by about eps * 2|z_i| * cond_i. The factor
+    2|z_i| is left out: it is at most 2, and near zero the finder's own
+    rounding is absolute, not relative to |z_i|.
+    """
+    gaps = np.abs(poles[:, None] - poles[None, :])
+    sums = np.abs(poles)[:, None] + np.abs(poles)[None, :]
+    np.fill_diagonal(gaps, 1.0)
+    np.fill_diagonal(sums, 1.0)
+    return np.prod(sums / gaps, axis=1)
+
+
+# Each root must lie within ROOT_ERROR_C * eps * cond of its pole. Over 53,000
+# random seeds the polished finder's worst root reached 0.66 of eps * cond; a
+# finder without the Newton polish exceeds 8 on about 3% of seeds.
+ROOT_ERROR_C = 8.0
 
 
 def random_conjugate_closed(rng, max_degree=24, max_magnitude=0.99):
@@ -91,8 +118,14 @@ def test_poles_to_coeffs_real_output():
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
+# Clustered poles: even the exact roots of the rounded coefficients are
+# 1.8e-6 off, yet well within the bound.
+@example(seed=4000001621)
+# Without the Newton polish one root is 381 eps * cond off.
+@example(seed=1219)
 def test_root_coefficient_round_trip(seed):
     rng = np.random.default_rng(seed)
     poles = random_conjugate_closed(rng)
     coeffs = poles_to_coeffs(poles)
-    assert match_roots(poly_roots(coeffs), poles) < 1e-6
+    bound = ROOT_ERROR_C * np.finfo(np.float64).eps * root_conditions(poles)
+    assert np.all(root_errors(poly_roots(coeffs), poles) <= bound)

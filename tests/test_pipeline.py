@@ -49,7 +49,7 @@ from emodeid.pipeline import (
     segment_audio,
     write_results,
 )
-from emodeid.video import FrameImage, RemoteDetector, write_ppm
+from emodeid.video import FrameImage, RemoteDetector, list_frames, read_ppm, write_ppm
 from emodeid.wavio import read_wav, write_wav
 
 from conftest import (
@@ -256,6 +256,38 @@ def test_request_lists_the_frame_directory_once(tmp_path, monkeypatch):
     _, frames, _ = _request(record, media, SamplingConfig(frame_count=32), "v")
     assert globs == [(tmp_path / "long" / "frames", "*.ppm")]
     assert [int(f[0, 0, 0]) for f in frames] == sample_frames_uniform(50, 32)
+
+
+def test_sampled_frames_are_read_only_rows_of_one_array(tmp_path):
+    record = _frames_video(tmp_path, "rows", 10)
+    frames, _ = load_video_inputs(record, DirectoryMediaSource(tmp_path), SamplingConfig(4), False)
+    stack = frames[0].base
+    assert stack.shape == (4, 2, 2, 3) and not stack.flags.writeable
+    assert all(f.base is stack and not f.flags.writeable for f in frames)
+    assert [int(f[0, 0, 0]) for f in frames] == sample_frames_uniform(10, 4)
+
+
+def test_stacked_frames_give_the_digest_of_frames_read_one_by_one(mock_dataset):
+    records, media, _, _, _ = mock_dataset
+    config = SamplingConfig(frame_count=4)
+    for record in records:
+        prompt, frames, specs = _request(record, media, config, "van")
+        paths = list_frames(media.root / record.video_id / "frames")
+        one_by_one = [read_ppm(paths[i]).to_array()
+                      for i in sample_frames_uniform(len(paths), config.frame_count)]
+        assert mllm_request_digest(prompt, frames, specs) == (
+            mllm_request_digest(prompt, one_by_one, specs))
+
+
+def test_frames_of_two_sizes_keep_their_own_shapes(tmp_path):
+    record = _frames_video(tmp_path, "mixed", 4)
+    wide = np.arange(2 * 5 * 3, dtype=np.uint8).reshape(2, 5, 3)
+    write_ppm(tmp_path / "mixed" / "frames" / "frame_002.ppm", FrameImage.from_array(wide))
+    frames, _ = load_video_inputs(record, DirectoryMediaSource(tmp_path), SamplingConfig(4), False)
+    assert [f.shape for f in frames] == [(2, 2, 3), (2, 2, 3), (2, 5, 3), (2, 2, 3)]
+    np.testing.assert_array_equal(frames[2], wide)
+    assert [int(f[0, 0, 0]) for f in frames] == [0, 1, 0, 3]
+    assert not any(f.flags.writeable for f in frames)
 
 
 def test_frames_load_in_name_order_whatever_the_creation_order(tmp_path):

@@ -191,9 +191,58 @@ def test_blur_region_leaves_its_input_unchanged():
 
 def test_ppm_with_comment(tmp_path):
     path = tmp_path / "c.ppm"
-    path.write_bytes(b"P6\n# a comment\n2 1\n255\n" + bytes(6))
-    frame = read_ppm(path)
-    assert (frame.width, frame.height) == (2, 1)
+    # The long comment runs past the first bytes read for the header.
+    for comment in (b"a comment", b"long " * 100):
+        path.write_bytes(b"P6\n# " + comment + b"\n2 1\n255\n" + bytes(range(6)))
+        frame = read_ppm(path)
+        assert (frame.width, frame.height) == (2, 1)
+        assert frame.pixels == bytes(range(6))
+
+
+def test_ppm_reads_into_a_given_array_of_its_shape(tmp_path):
+    path = tmp_path / "frame.ppm"
+    write_ppm(path, checkerboard(17, 9))
+    out = np.zeros((9, 17, 3), np.uint8)
+    frame = read_ppm(path, out)
+    np.testing.assert_array_equal(out, checkerboard(17, 9).to_array())
+    assert np.shares_memory(frame.to_array(), out)
+    assert not frame.to_array().flags.writeable
+
+
+def test_ppm_of_another_shape_than_the_given_array_gets_its_own(tmp_path):
+    path = tmp_path / "frame.ppm"
+    write_ppm(path, checkerboard(17, 9))
+    out = np.zeros((9, 16, 3), np.uint8)
+    frame = read_ppm(path, out)
+    assert frame.to_array().shape == (9, 17, 3)
+    assert not np.shares_memory(frame.to_array(), out)
+    assert not out.any()
+
+
+@pytest.mark.parametrize("into", [False, True], ids=["fresh", "out"])
+def test_ppm_ignores_bytes_after_the_pixels(tmp_path, into):
+    path = tmp_path / "frame.ppm"
+    path.write_bytes(b"P6\n2 1\n255\n" + bytes(range(6)) + b"trailing bytes")
+    frame = read_ppm(path, np.empty((1, 2, 3), np.uint8) if into else None)
+    assert frame.pixels == bytes(range(6))
+
+
+@pytest.mark.parametrize("into", [False, True], ids=["fresh", "out"])
+def test_ppm_rejects_truncated_pixels(tmp_path, into):
+    path = tmp_path / "short.ppm"
+    path.write_bytes(b"P6\n4 2\n255\n" + bytes(23))
+    out = np.zeros((2, 4, 3), np.uint8)
+    with pytest.raises(ParseError, match=r"^PPM pixel data truncated \(.*short\.ppm\)$"):
+        read_ppm(path, out if into else None)
+    assert not out.any()
+
+
+@pytest.mark.parametrize("size", [b"0 7", b"7 0", b"0 0"])
+def test_ppm_rejects_an_empty_frame(tmp_path, size):
+    path = tmp_path / "empty.ppm"
+    path.write_bytes(b"P6\n" + size + b"\n255\n")
+    with pytest.raises(ParseError, match=r"width and height must be positive \(.*empty\.ppm\)"):
+        read_ppm(path)
 
 
 def test_ppm_rejects_wrong_magic(tmp_path):
