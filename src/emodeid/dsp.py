@@ -331,6 +331,10 @@ def mel_spectrogram(audio: AudioSignal, bins: int = 128) -> MelSpectrogram:
         raise InvalidParamError("mel bin count must be at least 1")
     win = int(round(STFT_WIN_S * audio.sample_rate_hz))
     hop = int(round(STFT_HOP_S * audio.sample_rate_hz))
+    if win < 2 or hop < 1:
+        raise InvalidParamError(
+            f"sample rate {audio.sample_rate_hz} Hz is too low for a mel spectrogram"
+            f" ({win}-sample window, {hop}-sample hop)")
     if audio.samples.size < win:
         raise InvalidParamError("signal is shorter than one analysis window")
     frames = sliding_window_view(audio.samples, win)[::hop] * hann_window(win)

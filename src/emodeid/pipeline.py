@@ -104,6 +104,9 @@ def segment_audio(audio: AudioSignal, seg_s: float) -> list[AudioSignal]:
     if seg_s <= 0:
         raise InvalidParamError("segment length must be positive")
     seg = int(round(seg_s * audio.sample_rate_hz))
+    if seg == 0:
+        raise InvalidParamError(
+            f"a {seg_s} s segment is 0 samples at sample rate {audio.sample_rate_hz} Hz")
     count = audio.samples.size // seg
     return [
         AudioSignal(audio.samples[i * seg : (i + 1) * seg], audio.sample_rate_hz)

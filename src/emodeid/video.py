@@ -206,31 +206,22 @@ def list_frames(directory: Path) -> list[Path]:
     return sorted(directory.glob("*.ppm"), key=lambda p: p.name)
 
 
-# Header bytes read at first; a longer header (a long comment) is read on in
-# doubling steps.
-_PPM_HEAD_BYTES = 64
-
-
-def _ppm_header_fields(data: bytes) -> tuple[list[bytes], int]:
+def _ppm_header_fields(fh) -> list[bytes]:
     """The first four whitespace-separated fields of a PPM header, ``#``
-    comments skipped, and the offset just past the last one; fewer fields
-    when ``data`` ends first."""
+    comments at the start of a field skipped, read up to and including the
+    whitespace byte after the fourth; fewer fields when the file ends first."""
     fields: list[bytes] = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            break
-        fields.append(data[start:pos])
-    return fields, pos
+    field = bytearray()
+    while len(fields) < 4 and (byte := fh.read(1)):
+        if not byte.isspace():
+            if field or byte != b"#":
+                field += byte
+            else:
+                fh.readline()
+        elif field:
+            fields.append(bytes(field))
+            field.clear()
+    return fields + [bytes(field)] if field else fields
 
 
 def read_ppm(path: str | Path, out: np.ndarray | None = None) -> FrameImage:
@@ -241,13 +232,8 @@ def read_ppm(path: str | Path, out: np.ndarray | None = None) -> FrameImage:
     otherwise; the frame's ``pixels`` is a read-only view of that array.
     Bytes after the pixels are ignored.
     """
-    with open(path, "rb", buffering=0) as fh:
-        data = fh.read(_PPM_HEAD_BYTES)
-        fields, pos = _ppm_header_fields(data)
-        # A field or comment that reaches the end of the bytes read may go on.
-        while pos >= len(data) and (more := fh.read(len(data))):
-            data += more
-            fields, pos = _ppm_header_fields(data)
+    with open(path, "rb") as fh:
+        fields = _ppm_header_fields(fh)
         if len(fields) < 4:
             raise ParseError(f"truncated PPM header ({path})")
         if fields[0] != b"P6":
@@ -259,20 +245,16 @@ def read_ppm(path: str | Path, out: np.ndarray | None = None) -> FrameImage:
             raise ParseError(f"only maxval 255 is supported ({path})")
         if width == 0 or height == 0:
             raise ParseError(f"PPM width and height must be positive ({path})")
-        size, pos = width * height * 3, pos + 1
+        size = width * height * 3
         # Checked before allocating, so a header cannot ask for more memory
         # than the file holds.
-        if os.fstat(fh.fileno()).st_size - pos < size:
+        if os.fstat(fh.fileno()).st_size - fh.tell() < size:
             raise ParseError(f"PPM pixel data truncated ({path})")
         if out is None or out.shape != (height, width, 3):
             out = np.empty((height, width, 3), np.uint8)
         view = memoryview(out.reshape(-1))
-        got = len(head := data[pos : pos + size])
-        view[:got] = head
-        while got < size and (n := fh.readinto(view[got:])):
-            got += n
-    if got < size:
-        raise ParseError(f"PPM pixel data truncated ({path})")
+        if fh.readinto(view) < size:
+            raise ParseError(f"PPM pixel data truncated ({path})")
     return FrameImage(width, height, 3, view.toreadonly())
 
 

@@ -330,6 +330,21 @@ def test_run_pipeline_fails_a_video_whose_sampled_frame_is_empty(tmp_path):
         assert str(empty) in failures[0]["error"]
 
 
+def test_run_pipeline_fails_the_audio_modes_of_a_video_with_a_low_rate_wav(tmp_path):
+    records, media, _, ann_path, fix_path = make_mock_dataset(tmp_path / "data")
+    # 4 s at 40 Hz makes two 2 s segments, but the 25 ms mel window rounds to 1 sample.
+    write_wav(media.root / "v001" / "audio.wav", AudioSignal(np.zeros(160), 40), PCM16)
+    assert main(_pipeline_args(ann_path, media, tmp_path / "run", fix_path)) == 0
+    results = (tmp_path / "run" / "v" / "results.jsonl").read_text().splitlines()
+    assert [json.loads(line)["video_id"] for line in results] == [r.video_id for r in records]
+    assert (tmp_path / "run" / "v" / "failures.jsonl").read_text() == ""
+    for mode in ("va", "van"):
+        lines = (tmp_path / "run" / mode / "failures.jsonl").read_text().splitlines()
+        failures = [json.loads(line) for line in lines]
+        assert [(f["video_id"], f["mode"]) for f in failures] == [("v001", mode)]
+        assert "sample rate 40 Hz" in failures[0]["error"]
+
+
 def test_inputs_are_built_once_per_video_for_all_modes(tmp_path, monkeypatch):
     calls = {"mel_spectrogram": 0, "read_ppm": 0}
 

@@ -47,6 +47,13 @@ def test_mel_short_input_rejected():
         mel_spectrogram(AudioSignal(np.zeros(100), 16000))
 
 
+@pytest.mark.parametrize("rate", [1, 40, 50])
+def test_mel_rejects_a_rate_whose_window_or_hop_rounds_below_one_step(rate):
+    # At 50 Hz and below the 25 ms window is under 2 samples and the 10 ms hop under 1.
+    with pytest.raises(InvalidParamError, match=rf"^sample rate {rate} Hz is too low"):
+        mel_spectrogram(AudioSignal(np.zeros(4 * rate), rate))
+
+
 def _filter_centers(bins, sample_rate_hz):
     """Center frequencies (Hz) of the triangular mel filters: equally spaced
     mel points from 0 to f_s/2, without the two end points."""

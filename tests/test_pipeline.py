@@ -93,6 +93,11 @@ def test_segment_audio_exact_and_short():
         segment_audio(AudioSignal(np.zeros(0), 16000), 2.0)
 
 
+def test_segment_audio_rejects_a_segment_of_no_samples():
+    with pytest.raises(InvalidParamError, match=r"0\.025 s segment is 0 samples at sample rate 20 Hz"):
+        segment_audio(AudioSignal(np.zeros(100), 20), 0.025)
+
+
 def _prompt(clips):
     return build_mllm_prompt(clips, default_prompts().mllm_template)
 

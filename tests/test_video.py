@@ -1,3 +1,4 @@
+import re
 from contextlib import closing
 
 import numpy as np
@@ -191,12 +192,42 @@ def test_blur_region_leaves_its_input_unchanged():
 
 def test_ppm_with_comment(tmp_path):
     path = tmp_path / "c.ppm"
-    # The long comment runs past the first bytes read for the header.
     for comment in (b"a comment", b"long " * 100):
         path.write_bytes(b"P6\n# " + comment + b"\n2 1\n255\n" + bytes(range(6)))
         frame = read_ppm(path)
         assert (frame.width, frame.height) == (2, 1)
         assert frame.pixels == bytes(range(6))
+
+
+_PIXELS = bytes(range(6))
+
+
+@pytest.mark.parametrize("data, expected", [
+    # A "#" inside a field is part of it; only one that starts a field opens a comment.
+    (b"P6#c\n2 1\n255\n" + _PIXELS, "only binary P6 PPM is supported"),
+    (b"P6\n2#3 1\n255\n" + _PIXELS, "PPM width, height and maxval must be decimal, at most 9 digits"),
+    (b"P6\n2 1\n# a comment up to the end of the file", "truncated PPM header"),
+    *((b"P6" + sep + b"2" + sep + b"1" + sep + b"255" + sep + _PIXELS, _PIXELS)
+      for sep in (b"\t", b"\r", b"\x0b", b"\x0c")),
+    (b"P6 2 1 255", "PPM pixel data truncated"),
+    (b"P6 1234567890 1 255\n" + _PIXELS, "PPM width, height and maxval must be decimal, at most 9 digits"),
+    # Longer than io.DEFAULT_BUFFER_SIZE (8192 bytes), so the header crosses the file's buffer.
+    (b"P6\n#" + b"c" * 9000 + b"\n2 1\n255\n" + _PIXELS, _PIXELS),
+    # One whitespace byte ends the header; whatever follows it is pixel data.
+    (b"P6 2 1 255\r\n" + _PIXELS[:5], b"\n" + _PIXELS[:5]),
+    (b"P6 2 1 255\n#c\n" + _PIXELS[:3], b"#c\n" + _PIXELS[:3]),
+], ids=["hash-after-magic", "hash-in-width", "comment-to-eof", "tab", "cr", "vt", "ff",
+        "maxval-at-eof", "ten-digit-width", "comment-past-buffer", "crlf-after-maxval",
+        "hash-after-maxval"])
+def test_ppm_header_grammar(tmp_path, data, expected):
+    path = tmp_path / "grammar.ppm"
+    path.write_bytes(data)
+    if isinstance(expected, str):
+        with pytest.raises(ParseError, match=rf"^{re.escape(expected)} \(.*grammar\.ppm\)$"):
+            read_ppm(path)
+    else:
+        frame = read_ppm(path)
+        assert (frame.width, frame.height, frame.pixels) == (2, 1, expected)
 
 
 def test_ppm_reads_into_a_given_array_of_its_shape(tmp_path):
