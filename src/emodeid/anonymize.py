@@ -207,16 +207,17 @@ def anonymize_mcadams(audio: AudioSignal, params: AnonymizationParams) -> AudioS
     window = hann_window(params.frame.win_samples(audio.sample_rate_hz))
     order = params.frame.lpc_order
     block = block_frames(order)
-    out_frames = np.empty_like(frames)
     for start in range(0, frames.shape[0], block):
+        # The block reads only its own rows, through this copy, so its
+        # output can overwrite them.
         windowed = frames[start : start + block] * window
         coeffs = _levinson_rows(windowed, order)
         warped = warp_pole_angles(_roots_rows(coeffs), params.mcadams_lambda)
-        out_frames[start : start + block] = _synthesize_rows(
+        frames[start : start + block] = _synthesize_rows(
             _fir_rows(windowed, coeffs), _expand_rows(warped)
         )
     out = overlap_add(
-        out_frames, params.frame, audio.sample_rate_hz, padded.samples.size
+        frames, params.frame, audio.sample_rate_hz, padded.samples.size
     )[shift : shift + audio.samples.size]
     peak = np.max(np.abs(out)) if out.size else 0.0
     if peak > 1.0:

@@ -82,11 +82,6 @@ class MelSpectrogram:
     values: np.ndarray
 
 
-def frame_count(n_samples: int, win: int, shift: int) -> int:
-    """Number of frames at the given window/shift, last partial frame included."""
-    return int(math.ceil(max(1, n_samples - win + shift) / shift))
-
-
 def frame_signal(audio: AudioSignal, params: FrameParams) -> np.ndarray:
     """Slice a signal into overlapping frames; the last frame is zero-padded.
 
@@ -97,12 +92,11 @@ def frame_signal(audio: AudioSignal, params: FrameParams) -> np.ndarray:
         raise InvalidParamError("cannot frame an empty signal")
     win = params.win_samples(audio.sample_rate_hz)
     shift = params.shift_samples(audio.sample_rate_hz)
-    n = frame_count(audio.samples.size, win, shift)
-    padded = np.zeros((n - 1) * shift + win, dtype=np.float64)
-    padded[: audio.samples.size] = audio.samples
-    strides = (padded.strides[0] * shift, padded.strides[0])
-    view = np.lib.stride_tricks.as_strided(padded, shape=(n, win), strides=strides)
-    return view.copy()
+    # Zero-pad a short signal to one window, a longer one to a whole number
+    # of shifts past its first window.
+    short = win - audio.samples.size
+    padded = np.pad(audio.samples, (0, max(short, short % shift)))
+    return sliding_window_view(padded, win)[::shift].copy()
 
 
 def hann_window(length: int) -> np.ndarray:
@@ -278,7 +272,8 @@ def overlap_add(
         lo, hi = j * shift, min((j + 1) * shift, win)
         out[j : j + n, : hi - lo] += frames[:, lo:hi]
         den[j : j + n, : hi - lo] += window[lo:hi]
-    return (out.ravel() / np.maximum(den.ravel(), 1e-6))[:total_length]
+    out /= np.maximum(den, 1e-6, out=den)
+    return out.ravel()[:total_length]
 
 
 def hz_to_mel(f):

@@ -96,13 +96,14 @@ def _corrupt_frame_header(media, video_id):
     frames[index].write_bytes(b"P6\nx" + data[data.index(b" "):])
 
 
-def wav_bytes(payload, rate=16000, tag=1, bits=16):
-    """A mono RIFF/WAVE file with ``payload`` as its data chunk; the header
-    holds whatever it is given (tag 1 is integer PCM, 3 is IEEE float)."""
+def wav_bytes(payload, rate=16000, tag=1, bits=16, channels=1):
+    """A RIFF/WAVE file with ``payload`` as its data chunk; the header holds
+    whatever it is given (tag 1 is integer PCM, 3 is IEEE float), and its
+    byte rate and block size always describe one channel."""
     block = bits // 8
     return struct.pack(
         "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(payload), b"WAVE", b"fmt ", 16,
-        tag, 1, rate, rate * block, block, bits, b"data", len(payload),
+        tag, channels, rate, rate * block, block, bits, b"data", len(payload),
     ) + payload
 
 

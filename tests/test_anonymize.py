@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,21 @@ def test_blocks_keep_the_companion_stack_size():
     assert block_frames(28) == 522
     assert block_frames(150) * 150 * 150 <= 1024 * 20 * 20
     assert block_frames(1000) == 1
+
+
+def test_peak_memory_follows_the_signal_and_one_block():
+    # The padded signal, its frames (two signal lengths at a half-window
+    # shift), and overlap-add's sum and window sum: five signal lengths. On
+    # top, each block's temporaries may hold two companion stacks' worth.
+    x = speech_with_pauses(np.random.default_rng(1), 120 * RATE)
+    audio = AudioSignal(x, RATE)
+    tracemalloc.start()
+    try:
+        anonymize_mcadams(audio, AnonymizationParams())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * x.nbytes + 2 * anonymize.BLOCK_ENTRIES * 8
 
 
 def test_all_zero_signal_stays_zero():

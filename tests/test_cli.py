@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from emodeid import clients, pipeline
 from emodeid.annotations import NFBL_REGISTRY, nfbl_histogram
-from emodeid.cli import EXIT_REMOTE, EXIT_USAGE, EXIT_VALIDATION, main
+from emodeid.cli import EXIT_IO, EXIT_REMOTE, EXIT_USAGE, EXIT_VALIDATION, main
 from emodeid.clients import JsonEndpoint, mllm_request_digest
 from emodeid.dsp import AudioSignal
 from emodeid.pipeline import (
@@ -150,6 +150,17 @@ def test_mask_frames_sidecar(tmp_path, capsys):
     # untouched frames are copied bit for bit
     assert (out / "0001.ppm").read_bytes() == (frames / "0001.ppm").read_bytes()
     assert (out / "0000.ppm").read_bytes() != (frames / "0000.ppm").read_bytes()
+
+
+def test_mask_frames_unreadable_frame_exits_2(tmp_path, capsys):
+    frames = tmp_path / "frames"
+    _write_frames(frames, n=1)
+    (frames / "0001.ppm").mkdir()
+    boxes = tmp_path / "boxes.jsonl"
+    boxes.write_text("")
+    assert main(["mask-frames", str(frames), str(tmp_path / "out"), "--boxes", str(boxes)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err == f"i/o error: [Errno 21] Is a directory: '{frames / '0001.ppm'}'\n"
 
 
 def test_mask_frames_requires_one_source(tmp_path, capsys):
@@ -576,6 +587,8 @@ _RESULT = b'{"video_id": "v000", "mode": "v", "emotion": "positive", "confidence
 _VIDEO = (b'{"format": "nfbl-annotations/1", "videos": [{"video_id": "v7", "emotion": "positive", '
           b'"duration_s": 5.0, "fps": 30.0, '
           b'"clips": [{"class_id": "N3", "start_s": 1.0, "end_s": 2.0}]}]}')
+_TWICE = json.dumps({"format": "nfbl-annotations/1", "videos": [
+    {"video_id": "v0", "emotion": "positive", "duration_s": 5.0, "fps": 30.0}] * 2}).encode()
 _BOX = b'{"frame_index": 0, "x": 0, "y": 0, "w": 4, "h": 4}\n'
 
 
@@ -588,6 +601,7 @@ _BOX = b'{"frame_index": 0, "x": 0, "y": 0, "w": 4, "h": 4}\n'
         (_annotations_file, _VIDEO.replace(b'"N3"', b'"N99"'), "video 'v7'"),
         (_annotations_file, _VIDEO.replace(b"5.0", b"NaN"), "video 'v7'"),
         (_annotations_file, _VIDEO.replace(b"30.0", b"Infinity"), "video 'v7'"),
+        (_annotations_file, _TWICE, "duplicate video_id (video 'v0')"),
         (_boxes_file, _BOX.replace(b'"x": 0', b'"x": Infinity'), "line 1"),
         (_boxes_file, _BOX + b"\xff\n", "line 2"),
         (_fixtures_file, b"{", ""),
@@ -595,6 +609,7 @@ _BOX = b'{"frame_index": 0, "x": 0, "y": 0, "w": 4, "h": 4}\n'
         (_results_file, _RESULT + b"not json\n", "line 2"),
         (_results_file, _RESULT.replace(b'"video_id": "v000", ', b""), "line 1"),
         (_results_file, b"\n", ""),
+        (_results_file, _RESULT.replace(b"v000", b"v9"), "no label for video v9"),
         (_results_file, _RESULT + _RESULT.replace(b'"mode": "v"', b'"mode": "bogus"'), "line 2"),
         *[
             (_results_file, _RESULT + _RESULT.replace(b"7.5", bad), "line 2")
@@ -605,15 +620,17 @@ _BOX = b'{"frame_index": 0, "x": 0, "y": 0, "w": 4, "h": 4}\n'
         (_config_file, b'{"config": "other.json"}', "'config'"),
         (_wav_file, wav_bytes(bytes(400), rate=0), ""),
         (_wav_file, wav_bytes(np.array([0.0, np.nan], "<f4").tobytes(), tag=3, bits=32), ""),
+        (_wav_file, wav_bytes(bytes(400), channels=0), "channel count must be positive"),
     ],
     ids=[
         "annotations-videos-number", "annotations-videos-null", "annotations-not-utf8",
         "annotations-class-unknown", "annotations-duration-nan", "annotations-fps-infinity",
-        "boxes-infinity", "boxes-not-utf8", "fixtures-truncated", "fixtures-list",
-        "results-not-json", "results-without-video-id", "results-empty", "results-mode-unknown",
-        "results-confidence-true", "results-confidence-nan", "results-confidence-negative",
-        "results-confidence-above-10", "config-nested", "config-unknown-key",
-        "config-names-a-config", "wav-rate-zero", "wav-float-nan",
+        "annotations-video-twice", "boxes-infinity", "boxes-not-utf8", "fixtures-truncated",
+        "fixtures-list", "results-not-json", "results-without-video-id", "results-empty",
+        "results-video-unlabelled", "results-mode-unknown", "results-confidence-true",
+        "results-confidence-nan", "results-confidence-negative", "results-confidence-above-10",
+        "config-nested", "config-unknown-key", "config-names-a-config", "wav-rate-zero",
+        "wav-float-nan", "wav-no-channels",
     ],
 )
 def test_malformed_input_file_exits_4(tmp_path, capsys, make_args, data, where):
@@ -622,6 +639,7 @@ def test_malformed_input_file_exits_4(tmp_path, capsys, make_args, data, where):
     err = capsys.readouterr().err
     assert err.startswith("validation error:")
     assert str(path) in err and where in err
+    assert "Traceback" not in err
 
 
 def test_evaluate_single_and_ablation(tmp_path, capsys):
