@@ -60,7 +60,7 @@ def main(workdir, videos, mcadams_lambda, seed):
         boxes.write_text(json.dumps({"frame_index": 0, "x": 1, "y": 1, "w": 4, "h": 4}) + "\n")
         _run("mask-frames", frames_dir, masked_dir, "--boxes", boxes)
         first = list_frames(frames_dir)[0]
-        orig, arr = read_ppm(first).to_array(), read_ppm(masked_dir / first.name).to_array()
+        orig, arr = read_ppm(first), read_ppm(masked_dir / first.name)
         changed = int(np.sum(np.any(arr != orig, axis=2)))
         click.echo(f"masking smoke ({vid}): {changed} pixels changed inside a 4x4 box\n")
 

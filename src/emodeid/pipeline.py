@@ -26,7 +26,7 @@ from .annotations import NFBL_REGISTRY, Emotion, NfblClip, VideoRecord
 from .clients import LlmClient, MllmClient
 from .dsp import STFT_WIN_S, AudioSignal, mel_spectrogram
 from .errors import EmodeidError, InvalidParamError, JudgeParseError, parse_json_lines
-from .video import FrameImage, list_frames, read_ppm
+from .video import list_frames, read_ppm
 from .wavio import read_wav
 
 # The ablation modes in table order, each with its row label.
@@ -176,7 +176,7 @@ class DirectoryMediaSource:
     def frame_count(self, video_id: str) -> int:
         return len(self._frame_paths(video_id))
 
-    def load_frame(self, video_id: str, index: int, out: np.ndarray | None = None) -> FrameImage:
+    def load_frame(self, video_id: str, index: int, out: np.ndarray | None = None) -> np.ndarray:
         """Frame ``index`` of a video, read into ``out`` as ``read_ppm`` does."""
         return read_ppm(self._frame_paths(video_id)[index], out)
 
@@ -197,14 +197,12 @@ def load_video_inputs(record: VideoRecord, media: DirectoryMediaSource, config: 
         raise InvalidParamError(f"no frames for video {record.video_id}")
     # More frames than the video has would only repeat frames.
     indices = sample_frames_uniform(total, min(config.frame_count, total))
-    first = media.load_frame(record.video_id, indices[0]).to_array()
+    first = media.load_frame(record.video_id, indices[0])
     stack = np.empty((len(indices), *first.shape), np.uint8)
     stack[0] = first
-    read = [first] + [media.load_frame(record.video_id, i, out=row).to_array()
-                      for i, row in zip(indices[1:], stack[1:])]
+    rest = [media.load_frame(record.video_id, i, out=row) for i, row in zip(indices[1:], stack[1:])]
     stack.flags.writeable = False
-    # A frame of another size than the first was read into an array of its own.
-    frames = [row if frame.shape == row.shape else frame for frame, row in zip(read, stack)]
+    frames = [stack[0], *rest]
     if not audio:
         return frames, None
     try:

@@ -24,7 +24,7 @@ from .pipeline import (
     load_video_inputs,
     mode_request,
 )
-from .video import FrameImage, write_ppm
+from .video import write_ppm
 from .wavio import write_wav
 
 
@@ -53,7 +53,7 @@ def make_mock_dataset(
         frames_dir.mkdir(parents=True)
         for k in range(frames_per_video):
             arr = rng.integers(0, 256, (8, 8, 3), dtype=np.uint8)
-            write_ppm(frames_dir / f"frame_{k:03d}.ppm", FrameImage.from_array(arr))
+            write_ppm(frames_dir / f"frame_{k:03d}.ppm", arr)
         write_wav(
             media_root / vid / "audio.wav",
             AudioSignal(rng.uniform(-0.3, 0.3, 16000 * 4 + 1000), 16000),

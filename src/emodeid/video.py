@@ -22,36 +22,13 @@ from .clients import JsonEndpoint
 from .errors import ClientUnavailableError, InvalidParamError, ParseError, parse_json_lines
 
 
-@dataclass
 class FrameImage:
-    """Row-major interleaved byte image (8 bits per channel).
+    """Stub whose only caller is ``perfbench/inputs.py``; frames are plain read-only
+    (height, width, 3) uint8 arrays. The benchmark change of ROADMAP item 14 deletes it."""
 
-    ``pixels`` is any bytes-like buffer (``bytes``, ``bytearray`` or a
-    ``memoryview`` of either); frames are treated as immutable.
-    """
-
-    width: int
-    height: int
-    channels: int
-    pixels: bytes | bytearray | memoryview
-
-    def __post_init__(self):
-        if len(self.pixels) != self.width * self.height * self.channels:
-            raise InvalidParamError("pixel buffer does not match image dimensions")
-
-    def to_array(self) -> np.ndarray:
-        """A read-only view of the pixels, shape (height, width, channels)."""
-        arr = np.frombuffer(self.pixels, dtype=np.uint8).reshape(
-            self.height, self.width, self.channels
-        )
-        arr.flags.writeable = False
-        return arr
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "FrameImage":
-        arr = np.ascontiguousarray(arr, dtype=np.uint8)
-        h, w, c = arr.shape
-        return cls(w, h, c, arr.tobytes())
+    @staticmethod
+    def from_array(arr) -> np.ndarray:
+        return np.ascontiguousarray(arr, dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -76,7 +53,7 @@ class FaceDetector(ABC):
     """Source of face bounding boxes for individual frames."""
 
     @abstractmethod
-    def detect(self, frame: FrameImage, frame_index: int) -> list[FaceBox]: ...
+    def detect(self, frame: np.ndarray, frame_index: int) -> list[FaceBox]: ...
 
     def close(self) -> None:
         """Release open connections, if the detector holds any."""
@@ -98,7 +75,7 @@ class SidecarDetector(FaceDetector):
         for box in parse_json_lines(path, _face_box, "box record"):
             self.boxes.setdefault(box.frame_index, []).append(box)
 
-    def detect(self, frame: FrameImage, frame_index: int) -> list[FaceBox]:
+    def detect(self, frame: np.ndarray, frame_index: int) -> list[FaceBox]:
         return list(self.boxes.get(frame_index, []))
 
 
@@ -110,19 +87,17 @@ class RemoteDetector(JsonEndpoint, FaceDetector):
     failures are retried like the inference clients' (see ``JsonEndpoint``).
     """
 
-    def detect(self, frame: FrameImage, frame_index: int) -> list[FaceBox]:
+    def detect(self, frame: np.ndarray, frame_index: int) -> list[FaceBox]:
+        height, width, channels = frame.shape
         body = self.post({
             "frame_index": frame_index,
-            "width": frame.width,
-            "height": frame.height,
-            "channels": frame.channels,
-            "pixels_b64": base64.b64encode(frame.pixels).decode("ascii"),
+            "width": width,
+            "height": height,
+            "channels": channels,
+            "pixels_b64": base64.b64encode(frame).decode("ascii"),
         })
         try:
-            return [
-                FaceBox(frame_index, int(b["x"]), int(b["y"]), int(b["w"]), int(b["h"]))
-                for b in body.get("boxes", [])
-            ]
+            return [_face_box({**b, "frame_index": frame_index}) for b in body.get("boxes", [])]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ClientUnavailableError(f"{self.url} returned a malformed box: {exc!r}") from exc
 
@@ -161,7 +136,7 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([a[i : i + step] @ b for i in range(0, len(a), step)])
 
 
-def blur_region(frame: FrameImage, box: FaceBox, sigma: float) -> FrameImage:
+def blur_region(frame: np.ndarray, box: FaceBox, sigma: float) -> np.ndarray:
     """Separable Gaussian blur inside one box; pixels outside are untouched."""
     return mask_frame(frame, [box], lambda _: sigma)
 
@@ -170,16 +145,19 @@ def default_sigma_policy(box: FaceBox) -> float:
     return max(box.w, box.h) / 4.0
 
 
-def mask_frame(frame: FrameImage, boxes, policy=default_sigma_policy) -> FrameImage:
-    """A copy of ``frame`` with each box, in order, given an edge-clamped Gaussian
-    blur of sigma ``policy(box)`` that reads no pixel outside the box."""
-    pixels = bytearray(frame.pixels) if boxes else frame.pixels  # frames are immutable
-    arr = np.frombuffer(pixels, dtype=np.uint8).reshape(frame.height, frame.width, frame.channels)
+def mask_frame(frame: np.ndarray, boxes, policy=default_sigma_policy) -> np.ndarray:
+    """A read-only copy of ``frame`` with each box, in order, given an edge-clamped
+    Gaussian blur of sigma ``policy(box)`` that reads no pixel outside the box;
+    ``frame`` itself when there are no boxes."""
+    if not boxes:
+        return frame
+    arr = frame.copy()
+    height, width, c = arr.shape
     for box in boxes:
-        clipped = clip_box(box, frame.width, frame.height)
+        clipped = clip_box(box, width, height)
         if clipped is None:
             continue
-        h, w, sigma, c = clipped.h, clipped.w, policy(box), frame.channels
+        h, w, sigma = clipped.h, clipped.w, policy(box)
         box_px = np.s_[clipped.y : clipped.y + h, clipped.x : clipped.x + w]
         # Along the rows of each channel, laid out as (h, c, w), then down the
         # columns of the row-blurred box, laid out as (c, w, h).
@@ -188,7 +166,8 @@ def mask_frame(frame: FrameImage, boxes, policy=default_sigma_policy) -> FrameIm
         region = _product(rows.reshape(h, c * w).T, _blur_operator(h, sigma).T)
         np.clip(np.rint(region, out=region), 0, 255, out=region)
         arr[box_px] = region.reshape(c, w, h).transpose(2, 1, 0)
-    return FrameImage(frame.width, frame.height, frame.channels, pixels)
+    arr.flags.writeable = False
+    return arr
 
 
 def mask_frames(frames, boxes):
@@ -224,13 +203,14 @@ def _ppm_header_fields(fh) -> list[bytes]:
     return fields + [bytes(field)] if field else fields
 
 
-def read_ppm(path: str | Path, out: np.ndarray | None = None) -> FrameImage:
-    """Read a binary (P6) portable pixel map with maxval 255.
+def read_ppm(path: str | Path, out: np.ndarray | None = None) -> np.ndarray:
+    """Read a binary (P6) portable pixel map with maxval 255 as a read-only
+    (height, width, 3) uint8 array.
 
-    The pixels are read into ``out``, a C-contiguous uint8 array, when its
-    shape is the frame's (height, width, 3), and into a fresh array
-    otherwise; the frame's ``pixels`` is a read-only view of that array.
-    Bytes after the pixels are ignored.
+    The pixels are read into ``out.reshape(-1)`` when ``out`` has the frame's
+    shape, so into ``out`` itself when it is C-contiguous, and into a fresh
+    array otherwise; the result is a view of that buffer. Bytes after the
+    pixels are ignored.
     """
     with open(path, "rb") as fh:
         fields = _ppm_header_fields(fh)
@@ -252,15 +232,20 @@ def read_ppm(path: str | Path, out: np.ndarray | None = None) -> FrameImage:
             raise ParseError(f"PPM pixel data truncated ({path})")
         if out is None or out.shape != (height, width, 3):
             out = np.empty((height, width, 3), np.uint8)
-        view = memoryview(out.reshape(-1))
-        if fh.readinto(view) < size:
+        buf = out.reshape(-1)
+        if fh.readinto(buf) < size:
             raise ParseError(f"PPM pixel data truncated ({path})")
-    return FrameImage(width, height, 3, view.toreadonly())
+    frame = buf.reshape(height, width, 3)
+    frame.flags.writeable = False
+    return frame
 
 
-def write_ppm(path: str | Path, frame: FrameImage) -> None:
-    if frame.channels != 3:
-        raise InvalidParamError("PPM frames must have 3 channels")
+def write_ppm(path: str | Path, frame: np.ndarray) -> None:
+    """Write a (height, width, 3) uint8 array as a binary (P6) PPM with maxval 255."""
+    if not (isinstance(frame, np.ndarray) and frame.dtype == np.uint8
+            and frame.ndim == 3 and frame.shape[2] == 3):
+        raise InvalidParamError("PPM frames must be (height, width, 3) uint8 arrays")
+    height, width, _ = frame.shape
     with open(path, "wb") as fh:
-        fh.write(f"P6\n{frame.width} {frame.height}\n255\n".encode("ascii"))
-        fh.write(frame.pixels)
+        fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
+        fh.write(np.ascontiguousarray(frame))

@@ -23,7 +23,7 @@ from emodeid.pipeline import (
     mode_request,
     sample_frames_uniform,
 )
-from emodeid.video import FrameImage, list_frames, read_ppm, write_ppm
+from emodeid.video import list_frames, read_ppm, write_ppm
 from emodeid.wavio import PCM16, read_wav, write_wav
 
 from conftest import _corrupt_audio_data, _corrupt_frame_header, make_mock_dataset, wav_bytes
@@ -131,7 +131,7 @@ def _write_frames(frames_dir, n=3, width=32, height=24):
     rng = np.random.default_rng(0)
     for i in range(n):
         arr = rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
-        write_ppm(frames_dir / f"{i:04d}.ppm", FrameImage.from_array(arr))
+        write_ppm(frames_dir / f"{i:04d}.ppm", arr)
 
 
 def test_mask_frames_sidecar(tmp_path, capsys):
@@ -216,6 +216,17 @@ def test_mask_frames_stops_at_first_failed_detection(tmp_path, capsys, json_serv
     assert sorted(p.name for p in out.iterdir()) == ["0000.ppm"]
 
 
+def test_mask_frames_exits_on_an_empty_detector_box(tmp_path, capsys, json_server):
+    frames = tmp_path / "frames"
+    _write_frames(frames, n=1)
+    out = tmp_path / "out"
+    url = json_server(lambda path, body: (200, {"boxes": [{"x": 2, "y": 2, "w": -4, "h": 6}]}))
+    code = main(["mask-frames", str(frames), str(out), "--detector-url", url + "/d"])
+    assert code == EXIT_REMOTE
+    assert "returned a malformed box" in capsys.readouterr().err
+    assert not list(out.glob("*.ppm"))
+
+
 @pytest.mark.parametrize("source", ["boxes", "detector-url"])
 def test_mask_frames_blurs_the_faces_of_every_frame(tmp_path, source, json_server):
     frames = tmp_path / "frames"
@@ -234,7 +245,7 @@ def test_mask_frames_blurs_the_faces_of_every_frame(tmp_path, source, json_serve
         assert main(args + ["--detector-url", url + "/d"]) == 0
     for i in range(4):
         name = f"{i:04d}.ppm"
-        before, after = read_ppm(frames / name).to_array(), read_ppm(out / name).to_array()
+        before, after = read_ppm(frames / name), read_ppm(out / name)
         face = np.s_[4:12, 4:12]
         assert not np.array_equal(before[face], after[face]), name
         after = after.copy()
@@ -248,7 +259,7 @@ def test_mask_frames_visits_frames_in_name_order_and_closes_the_detector(
     frames = tmp_path / "frames"
     frames.mkdir()
     for i in np.random.default_rng(8).permutation(12):
-        write_ppm(frames / f"{i:04d}.ppm", FrameImage.from_array(np.full((4, 4, 3), i, np.uint8)))
+        write_ppm(frames / f"{i:04d}.ppm", np.full((4, 4, 3), i, np.uint8))
     closed = []
     real_close = JsonEndpoint.close
     monkeypatch.setattr(JsonEndpoint, "close", lambda self: closed.append(1) or real_close(self))

@@ -49,7 +49,7 @@ from emodeid.pipeline import (
     segment_audio,
     write_results,
 )
-from emodeid.video import FrameImage, RemoteDetector, list_frames, read_ppm, write_ppm
+from emodeid.video import RemoteDetector, list_frames, read_ppm, write_ppm
 from emodeid.wavio import read_wav, write_wav
 
 from conftest import (
@@ -243,7 +243,7 @@ def _frames_video(root, video_id, count, creation_order=None):
     frames_dir.mkdir(parents=True)
     for k in range(count) if creation_order is None else creation_order:
         arr = np.full((2, 2, 3), k, dtype=np.uint8)
-        write_ppm(frames_dir / f"frame_{k:03d}.ppm", FrameImage.from_array(arr))
+        write_ppm(frames_dir / f"frame_{k:03d}.ppm", arr)
     return VideoRecord(video_id, Emotion.POSITIVE, 10.0, count / 10.0, [])
 
 
@@ -278,7 +278,7 @@ def test_stacked_frames_give_the_digest_of_frames_read_one_by_one(mock_dataset):
     for record in records:
         prompt, frames, specs = _request(record, media, config, "van")
         paths = list_frames(media.root / record.video_id / "frames")
-        one_by_one = [read_ppm(paths[i]).to_array()
+        one_by_one = [read_ppm(paths[i])
                       for i in sample_frames_uniform(len(paths), config.frame_count)]
         assert mllm_request_digest(prompt, frames, specs) == (
             mllm_request_digest(prompt, one_by_one, specs))
@@ -287,7 +287,7 @@ def test_stacked_frames_give_the_digest_of_frames_read_one_by_one(mock_dataset):
 def test_frames_of_two_sizes_keep_their_own_shapes(tmp_path):
     record = _frames_video(tmp_path, "mixed", 4)
     wide = np.arange(2 * 5 * 3, dtype=np.uint8).reshape(2, 5, 3)
-    write_ppm(tmp_path / "mixed" / "frames" / "frame_002.ppm", FrameImage.from_array(wide))
+    write_ppm(tmp_path / "mixed" / "frames" / "frame_002.ppm", wide)
     frames, _ = load_video_inputs(record, DirectoryMediaSource(tmp_path), SamplingConfig(4), False)
     assert [f.shape for f in frames] == [(2, 2, 3), (2, 2, 3), (2, 5, 3), (2, 2, 3)]
     np.testing.assert_array_equal(frames[2], wide)
@@ -300,7 +300,7 @@ def test_frames_load_in_name_order_whatever_the_creation_order(tmp_path):
     _frames_video(tmp_path, "shuffled", 40, creation_order=order)
     media = DirectoryMediaSource(tmp_path)
     assert media.frame_count("shuffled") == 40
-    loaded = [int(media.load_frame("shuffled", k).pixels[0]) for k in range(40)]
+    loaded = [int(media.load_frame("shuffled", k)[0, 0, 0]) for k in range(40)]
     assert loaded == list(range(40))
 
 
@@ -309,7 +309,7 @@ def test_shared_media_source_under_thread_contention(tmp_path):
     media = DirectoryMediaSource(tmp_path)
 
     def load_all(record):
-        return [int(media.load_frame(record.video_id, k).pixels[0]) for k in range(12)]
+        return [int(media.load_frame(record.video_id, k)[0, 0, 0]) for k in range(12)]
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

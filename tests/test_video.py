@@ -8,7 +8,6 @@ from scipy import ndimage
 from emodeid.errors import ClientUnavailableError, InvalidParamError, ParseError
 from emodeid.video import (
     FaceBox,
-    FrameImage,
     RemoteDetector,
     SidecarDetector,
     blur_region,
@@ -25,12 +24,17 @@ from emodeid.video import (
 def checkerboard(width=64, height=48, tile=4):
     y, x = np.mgrid[0:height, 0:width]
     board = (((x // tile) + (y // tile)) % 2 * 255).astype(np.uint8)
-    return FrameImage.from_array(np.stack([board] * 3, axis=-1))
+    return np.stack([board] * 3, axis=-1)
 
 
-def test_frame_image_validates_buffer():
-    with pytest.raises(InvalidParamError):
-        FrameImage(4, 4, 3, b"\x00" * 10)
+def test_write_ppm_rejects_anything_but_a_uint8_rgb_array(tmp_path):
+    path = tmp_path / "frame.ppm"
+    for frame in (np.zeros((4, 4), np.uint8), np.zeros((4, 4, 4), np.uint8),
+                  np.zeros((1, 4, 4, 3), np.uint8), np.zeros((4, 4, 3), np.uint16),
+                  np.zeros((4, 4, 3)), bytes(48)):
+        with pytest.raises(InvalidParamError, match=r"^PPM frames must be \(height, width, 3\) uint8"):
+            write_ppm(path, frame)
+        assert not path.exists()
 
 
 def test_gaussian_kernel_normalized_and_symmetric():
@@ -53,28 +57,27 @@ def test_gaussian_kernel_rejects_nonpositive_sigma():
 
 
 def test_blur_constant_region_unchanged():
-    frame = FrameImage.from_array(np.full((32, 32, 3), 77, dtype=np.uint8))
+    frame = np.full((32, 32, 3), 77, dtype=np.uint8)
     out = blur_region(frame, FaceBox(0, 4, 4, 16, 16), 2.0)
-    assert out.pixels == frame.pixels
+    np.testing.assert_array_equal(out, frame)
 
 
 def test_blur_locality():
     frame = checkerboard()
     box = FaceBox(0, 8, 8, 24, 20)
     out = blur_region(frame, box, 3.0)
-    before, after = frame.to_array(), out.to_array()
-    mask = np.zeros(before.shape[:2], dtype=bool)
+    mask = np.zeros(frame.shape[:2], dtype=bool)
     mask[8:28, 8:32] = True
-    np.testing.assert_array_equal(before[~mask], after[~mask])
-    assert not np.array_equal(before[mask], after[mask])
+    np.testing.assert_array_equal(frame[~mask], out[~mask])
+    assert not np.array_equal(frame[mask], out[mask])
 
 
 def test_blur_reduces_variance():
     frame = checkerboard()
     box = FaceBox(0, 8, 8, 24, 20)
     out = blur_region(frame, box, box.w / 4)
-    region_before = frame.to_array()[8:28, 8:32].astype(float)
-    region_after = out.to_array()[8:28, 8:32].astype(float)
+    region_before = frame[8:28, 8:32].astype(float)
+    region_after = out[8:28, 8:32].astype(float)
     for c in range(3):
         assert region_after[..., c].var() < region_before[..., c].var()
 
@@ -83,15 +86,15 @@ def test_blur_preserves_mean_on_interior_box():
     frame = checkerboard()
     box = FaceBox(0, 8, 8, 24, 20)
     out = blur_region(frame, box, 2.0)
-    before = frame.to_array()[8:28, 8:32].astype(float).mean()
-    after = out.to_array()[8:28, 8:32].astype(float).mean()
+    before = frame[8:28, 8:32].astype(float).mean()
+    after = out[8:28, 8:32].astype(float).mean()
     assert abs(before - after) < 1.0
 
 
 def test_blur_zero_area_box_is_noop():
     frame = checkerboard()
     out = blur_region(frame, FaceBox(0, -10, -10, 5, 5), 2.0)
-    assert out.pixels == frame.pixels
+    np.testing.assert_array_equal(out, frame)
 
 
 def test_clip_box():
@@ -103,15 +106,15 @@ def test_clip_box():
 def test_mask_frames_no_boxes_bit_identical():
     frames = [checkerboard(), checkerboard(32, 32, 2)]
     out = mask_frames(frames, [])
-    assert [f.pixels for f in out] == [f.pixels for f in frames]
+    assert all(o is f for o, f in zip(out, frames, strict=True))
 
 
 def test_mask_frames_blurs_listed_regions_only():
     frames = [checkerboard(), checkerboard()]
     boxes = [FaceBox(1, 8, 8, 16, 16)]
     out = mask_frames(frames, boxes)
-    assert out[0].pixels == frames[0].pixels
-    assert out[1].pixels != frames[1].pixels
+    assert out[0] is frames[0]
+    assert not np.array_equal(out[1], frames[1])
 
 
 def test_mask_frames_overlapping_boxes_sequential_deterministic():
@@ -119,11 +122,11 @@ def test_mask_frames_overlapping_boxes_sequential_deterministic():
     boxes = [FaceBox(0, 4, 4, 20, 20), FaceBox(0, 12, 12, 20, 20)]
     once = mask_frames([frame], boxes)[0]
     again = mask_frames([frame], boxes)[0]
-    assert once.pixels == again.pixels
+    np.testing.assert_array_equal(once, again)
     # sequential application: second blur acts on the already-blurred frame
     manual = blur_region(frame, boxes[0], default_sigma_policy(boxes[0]))
     manual = blur_region(manual, boxes[1], default_sigma_policy(boxes[1]))
-    assert once.pixels == manual.pixels
+    np.testing.assert_array_equal(once, manual)
 
 
 def _convolve_oracle(arr, box, sigma):
@@ -151,18 +154,18 @@ def test_blur_matches_the_convolution_oracle_byte_for_byte():
         w, h = (int(v) for v in rng.integers(1, 221, size=2))
         box = FaceBox(0, int(rng.integers(-w, width)), int(rng.integers(-h, height)), w, h)
         sigma = default_sigma_policy(box)
-        out = blur_region(FrameImage.from_array(arr), box, sigma).to_array()
+        out = blur_region(arr, box, sigma)
         np.testing.assert_array_equal(out, _convolve_oracle(arr, box, sigma), err_msg=str(box))
 
 
 def test_mask_frame_blurs_every_box_in_listed_order():
     frame = checkerboard(96, 64)
     boxes = [FaceBox(3, 4, 4, 30, 20), FaceBox(3, 20, 10, 40, 40), FaceBox(3, 80, 50, 30, 30)]
-    expected = frame.to_array()
+    expected = frame
     for box in boxes:
         expected = _convolve_oracle(expected, box, default_sigma_policy(box))
-    np.testing.assert_array_equal(mask_frame(frame, boxes).to_array(), expected)
-    assert mask_frame(frame, []).pixels == frame.pixels
+    np.testing.assert_array_equal(mask_frame(frame, boxes), expected)
+    assert mask_frame(frame, []) is frame
 
 
 def test_ppm_round_trip(tmp_path):
@@ -170,8 +173,8 @@ def test_ppm_round_trip(tmp_path):
     path = tmp_path / "frame.ppm"
     write_ppm(path, frame)
     back = read_ppm(path)
-    assert (back.width, back.height, back.channels) == (17, 9, 3)
-    assert back.pixels == frame.pixels
+    assert back.shape == (9, 17, 3) and back.dtype == np.uint8
+    np.testing.assert_array_equal(back, frame)
 
 
 def test_ppm_read_write_round_trip_is_byte_identical(tmp_path):
@@ -183,11 +186,11 @@ def test_ppm_read_write_round_trip_is_byte_identical(tmp_path):
 
 def test_blur_region_leaves_its_input_unchanged():
     frame = checkerboard()
-    before = bytes(frame.pixels)
+    before = frame.copy()
     out = blur_region(frame, FaceBox(0, 8, 8, 16, 16), 2.0)
-    assert bytes(frame.pixels) == before
-    assert out.pixels != frame.pixels
-    assert not out.to_array().flags.writeable
+    np.testing.assert_array_equal(frame, before)
+    assert not np.array_equal(out, frame)
+    assert not out.flags.writeable
 
 
 def test_ppm_with_comment(tmp_path):
@@ -195,8 +198,8 @@ def test_ppm_with_comment(tmp_path):
     for comment in (b"a comment", b"long " * 100):
         path.write_bytes(b"P6\n# " + comment + b"\n2 1\n255\n" + bytes(range(6)))
         frame = read_ppm(path)
-        assert (frame.width, frame.height) == (2, 1)
-        assert frame.pixels == bytes(range(6))
+        assert frame.shape == (1, 2, 3)
+        assert frame.tobytes() == bytes(range(6))
 
 
 _PIXELS = bytes(range(6))
@@ -227,7 +230,7 @@ def test_ppm_header_grammar(tmp_path, data, expected):
             read_ppm(path)
     else:
         frame = read_ppm(path)
-        assert (frame.width, frame.height, frame.pixels) == (2, 1, expected)
+        assert (frame.shape, frame.tobytes()) == ((1, 2, 3), expected)
 
 
 def test_ppm_reads_into_a_given_array_of_its_shape(tmp_path):
@@ -235,9 +238,9 @@ def test_ppm_reads_into_a_given_array_of_its_shape(tmp_path):
     write_ppm(path, checkerboard(17, 9))
     out = np.zeros((9, 17, 3), np.uint8)
     frame = read_ppm(path, out)
-    np.testing.assert_array_equal(out, checkerboard(17, 9).to_array())
-    assert np.shares_memory(frame.to_array(), out)
-    assert not frame.to_array().flags.writeable
+    np.testing.assert_array_equal(out, checkerboard(17, 9))
+    assert np.shares_memory(frame, out)
+    assert not frame.flags.writeable
 
 
 def test_ppm_of_another_shape_than_the_given_array_gets_its_own(tmp_path):
@@ -245,9 +248,24 @@ def test_ppm_of_another_shape_than_the_given_array_gets_its_own(tmp_path):
     write_ppm(path, checkerboard(17, 9))
     out = np.zeros((9, 16, 3), np.uint8)
     frame = read_ppm(path, out)
-    assert frame.to_array().shape == (9, 17, 3)
-    assert not np.shares_memory(frame.to_array(), out)
+    assert frame.shape == (9, 17, 3)
+    assert not np.shares_memory(frame, out)
     assert not out.any()
+
+
+def test_ppm_read_into_a_strided_array_of_its_shape_gives_the_right_pixels(tmp_path):
+    path = tmp_path / "frame.ppm"
+    write_ppm(path, checkerboard(17, 9))
+    frame = read_ppm(path, np.zeros((9, 34, 3), np.uint8)[:, ::2])
+    np.testing.assert_array_equal(frame, checkerboard(17, 9))
+    assert not frame.flags.writeable
+
+
+def test_write_ppm_writes_a_strided_frame_in_c_order(tmp_path):
+    path = tmp_path / "frame.ppm"
+    frame = checkerboard(34, 9, 3)[:, ::-2]
+    write_ppm(path, frame)
+    assert path.read_bytes() == b"P6\n17 9\n255\n" + frame.tobytes()
 
 
 @pytest.mark.parametrize("into", [False, True], ids=["fresh", "out"])
@@ -255,7 +273,7 @@ def test_ppm_ignores_bytes_after_the_pixels(tmp_path, into):
     path = tmp_path / "frame.ppm"
     path.write_bytes(b"P6\n2 1\n255\n" + bytes(range(6)) + b"trailing bytes")
     frame = read_ppm(path, np.empty((1, 2, 3), np.uint8) if into else None)
-    assert frame.pixels == bytes(range(6))
+    assert frame.tobytes() == bytes(range(6))
 
 
 @pytest.mark.parametrize("into", [False, True], ids=["fresh", "out"])
@@ -319,15 +337,24 @@ def test_sidecar_detector_malformed(tmp_path):
 
 
 _flaky_failures_left = [0]
+_EMPTY_BOXES = {
+    "/zero-w": {"x": 2, "y": 2, "w": 0, "h": 6},
+    "/negative-w": {"x": 2, "y": 2, "w": -4, "h": 6},
+    "/zero-h": {"x": 2, "y": 2, "w": 6, "h": 0},
+    "/negative-h": {"x": 2, "y": 2, "w": 6, "h": -4},
+}
 
 
 @pytest.fixture
 def fake_detector_server(json_server):
     """A fake detector's /detect URL: one box wider than the frame; /flaky
-    fails once with 503 first, and /no-y's box lacks y."""
+    fails once with 503 first, /no-y's box lacks y, and the paths of
+    ``_EMPTY_BOXES`` reply with that box."""
     _flaky_failures_left[0] = 1
 
     def route(path, body):
+        if path in _EMPTY_BOXES:
+            return 200, {"boxes": [_EMPTY_BOXES[path]]}
         if path == "/flaky" and _flaky_failures_left[0]:
             _flaky_failures_left[0] -= 1
             return 503, None
@@ -342,7 +369,7 @@ def fake_detector_server(json_server):
 def test_remote_detector_clips_out_of_bounds_box(fake_detector_server):
     frame = checkerboard(64, 48)
     with closing(RemoteDetector(fake_detector_server, timeout_s=5.0)) as detector:
-        boxes = [clip_box(b, frame.width, frame.height) for b in detector.detect(frame, 0)]
+        boxes = [clip_box(b, frame.shape[1], frame.shape[0]) for b in detector.detect(frame, 0)]
     assert boxes == [FaceBox(0, 0, 5, 64, 10)]
 
 
@@ -359,6 +386,14 @@ def test_remote_detector_retries_on_5xx(fake_detector_server):
 def test_remote_detector_rejects_box_without_y(fake_detector_server):
     detector = RemoteDetector(fake_detector_server.replace("/detect", "/no-y"), timeout_s=5.0)
     with closing(detector), pytest.raises(ClientUnavailableError, match="malformed box"):
+        detector.detect(checkerboard(64, 48), 0)
+
+
+@pytest.mark.parametrize("path", list(_EMPTY_BOXES))
+def test_remote_detector_rejects_an_empty_box(fake_detector_server, path):
+    # clip_box would drop it, leaving the face it stands for unblurred.
+    detector = RemoteDetector(fake_detector_server.replace("/detect", path), timeout_s=5.0)
+    with closing(detector), pytest.raises(ClientUnavailableError, match="malformed box.*positive"):
         detector.detect(checkerboard(64, 48), 0)
 
 
