@@ -31,7 +31,8 @@ from .pipeline import (
     run_batch,
     write_results,
 )
-from .video import RemoteDetector, SidecarDetector, list_frames, mask_frame, read_ppm, write_ppm
+from .video import (RemoteDetector, SidecarDetector, clip_box, list_frames, mask_frame,
+                    read_ppm, write_ppm)
 from .wavio import read_wav, write_wav
 
 EXIT_USAGE = 1
@@ -132,7 +133,13 @@ def cmd_mask_frames(frames_dir, output_dir, boxes_path, detector_url):
     try:
         for index, path in enumerate(paths):
             frame = read_ppm(path)
-            masked = mask_frame(frame, detector.detect(frame, index))
+            boxes = detector.detect(frame, index)
+            height, width, _ = frame.shape
+            for box in boxes:
+                if clip_box(box, width, height) is None:
+                    click.echo(f"warning: box (x {box.x}, y {box.y}, w {box.w}, h {box.h}) lies "
+                               f"wholly outside frame {index} ({width}x{height}); skipped", err=True)
+            masked = mask_frame(frame, boxes)
             with atomic_path(output_dir / path.name) as tmp:
                 write_ppm(tmp, masked)
     finally:

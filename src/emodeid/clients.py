@@ -1,4 +1,8 @@
-"""Inference client interfaces: remote services plus offline mock fixtures.
+"""Inference clients: remote services plus offline mock fixtures.
+
+A client is any object with ``generate(prompt, frames, spectrograms) -> str``
+(MLLM) or ``complete(prompt) -> str`` (judge); ``close()`` and ``deterministic``
+are optional. ``requests`` is imported only where a request is sent.
 
 Remote payloads carry frames and spectrograms as base64-encoded arrays with
 shape metadata. Mock clients replay transcripts from a fixture file keyed by
@@ -13,10 +17,8 @@ import hashlib
 import math
 import threading
 import time
-from abc import ABC, abstractmethod
 
 import numpy as np
-import requests
 
 from .errors import ClientUnavailableError, InvalidParamError
 
@@ -93,10 +95,12 @@ class JsonEndpoint:
         self.max_attempts = max_attempts
         self.backoff_s = backoff_s
         self._local = threading.local()
-        self._sessions: list[requests.Session] = []
+        self._sessions = []
         self._lock = threading.Lock()
 
-    def _session(self) -> requests.Session:
+    def _session(self):
+        import requests
+
         local = self._local
         if not hasattr(local, "session"):
             local.session = requests.Session()
@@ -114,6 +118,8 @@ class JsonEndpoint:
 
     def post(self, payload: dict) -> dict:
         """The reply's JSON object; a reply of any other shape is a client error."""
+        import requests
+
         last = None
         for attempt in range(self.max_attempts):
             if attempt:
@@ -147,36 +153,12 @@ class JsonEndpoint:
         return text
 
 
-class MllmClient(ABC):
-    """Multimodal model: frames + spectrograms + prompt -> descriptive text."""
-
-    deterministic = False
-
-    @abstractmethod
-    def generate(self, prompt: str, frames, spectrograms) -> str: ...
-
-    def close(self) -> None:
-        """Release open connections, if the client holds any."""
-
-
-class LlmClient(ABC):
-    """Text-only judge model: prompt -> reply text."""
-
-    deterministic = False
-
-    @abstractmethod
-    def complete(self, prompt: str) -> str: ...
-
-    def close(self) -> None:
-        """Release open connections, if the client holds any."""
-
-
-class RemoteMllmClient(JsonEndpoint, MllmClient):
+class RemoteMllmClient(JsonEndpoint):
     def generate(self, prompt: str, frames, spectrograms) -> str:
         return self.post_for_text(mllm_request_payload(prompt, frames, spectrograms))
 
 
-class RemoteLlmClient(JsonEndpoint, LlmClient):
+class RemoteLlmClient(JsonEndpoint):
     def complete(self, prompt: str) -> str:
         return self.post_for_text({"prompt": prompt})
 
@@ -194,8 +176,11 @@ class FixtureReplay:
             raise ClientUnavailableError(f"no fixture {what} {digest}{hint}")
         return self.fixtures[digest]
 
+    def close(self) -> None:
+        """Nothing to release."""
 
-class MockMllmClient(FixtureReplay, MllmClient):
+
+class MockMllmClient(FixtureReplay):
     """Replays transcripts keyed by the request digest."""
 
     def generate(self, prompt: str, frames, spectrograms) -> str:
@@ -205,7 +190,7 @@ class MockMllmClient(FixtureReplay, MllmClient):
         )
 
 
-class MockLlmClient(FixtureReplay, LlmClient):
+class MockLlmClient(FixtureReplay):
     """Replays replies keyed by the digest of the prompt text."""
 
     @staticmethod

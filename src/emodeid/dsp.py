@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import signal as sps
 from scipy import sparse
 
 from .errors import InvalidParamError
@@ -137,6 +136,9 @@ def lpc_levinson(frame: np.ndarray, order: int) -> tuple[np.ndarray, float]:
 
 def lpc_residual(frame: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """FIR analysis filtering: residual[n] = sum_k a_k * frame[n-k], zero state."""
+    # Imported here and in ``synthesize`` only: scipy.signal takes most of a second to load.
+    from scipy import signal as sps
+
     coefficients = np.asarray(coefficients, dtype=np.float64)
     if coefficients[0] != 1.0:
         raise InvalidParamError("analysis polynomial must be monic (a_0 == 1)")
@@ -232,6 +234,8 @@ def poles_to_coeffs(poles: np.ndarray) -> np.ndarray:
 
 def synthesize(residual: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """All-pole IIR filtering, zero initial state; inverse of lpc_residual."""
+    from scipy import signal as sps
+
     coefficients = np.asarray(coefficients, dtype=np.float64)
     if coefficients[0] != 1.0:
         raise InvalidParamError("synthesis polynomial must be monic (a_0 == 1)")

@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .annotations import NFBL_REGISTRY, Emotion, NfblClip, VideoRecord
-from .clients import LlmClient, MllmClient
 from .dsp import STFT_WIN_S, AudioSignal, mel_spectrogram
 from .errors import EmodeidError, InvalidParamError, JudgeParseError, parse_json_lines
 from .video import list_frames, read_ppm
@@ -143,7 +142,7 @@ def parse_judge_reply(reply: str) -> tuple[Emotion, float, bool]:
     return emotion, min(max(raw, 0.0), 10.0), clamped
 
 
-def judge_emotion(client: LlmClient, mllm_text: str, template: str) -> tuple[Emotion, float, bool]:
+def judge_emotion(client, mllm_text: str, template: str) -> tuple[Emotion, float, bool]:
     """Judge the descriptive text; one reformat retry before giving up."""
     if not mllm_text.strip():
         raise InvalidParamError("descriptive text is empty")
@@ -228,8 +227,8 @@ def mode_request(record: VideoRecord, inputs: tuple, mode: str, prompts: PromptB
     return build_mllm_prompt(clips, prompts.mllm_template), frames, spectrograms
 
 
-def run_pipeline(record: VideoRecord, inputs: tuple, mode: str, mllm: MllmClient,
-                 judge: LlmClient, prompts: PromptBundle) -> dict:
+def run_pipeline(record: VideoRecord, inputs: tuple, mode: str, mllm, judge,
+                 prompts: PromptBundle) -> dict:
     """End-to-end inference for one video in one ablation mode, on the
     ``inputs`` that ``load_video_inputs`` built for it. Returns the result
     record: the judged emotion and confidence plus the descriptive text they
@@ -240,9 +239,9 @@ def run_pipeline(record: VideoRecord, inputs: tuple, mode: str, mllm: MllmClient
     text = mllm.generate(*mode_request(record, inputs, mode, prompts))
     emotion, confidence, clamped = judge_emotion(judge, text, prompts.judge_template)
 
-    deterministic = mllm.deterministic and judge.deterministic
     # Deterministic (mock) runs report zero timing so result files are
-    # byte-identical across reruns.
+    # byte-identical across reruns; a client without the attribute is not.
+    deterministic = getattr(mllm, "deterministic", False) and getattr(judge, "deterministic", False)
     timing = 0.0 if deterministic else time.monotonic() - started
     return {"video_id": record.video_id, "mode": mode, "mllm_text": text,
             "emotion": emotion.value, "confidence": confidence,
@@ -250,8 +249,7 @@ def run_pipeline(record: VideoRecord, inputs: tuple, mode: str, mllm: MllmClient
 
 
 def run_batch(records: list[VideoRecord], media: DirectoryMediaSource, config: SamplingConfig,
-              mllm: MllmClient, judge: LlmClient, modes=MODES, *,
-              workers: int) -> dict[str, tuple[list[dict], list[dict]]]:
+              mllm, judge, modes=MODES, *, workers: int) -> dict[str, tuple[list[dict], list[dict]]]:
     """``{mode: (results, failures)}``: each (video, mode) pair yields one
     result record or one failure record. A pool task per video builds its
     inputs once and runs every mode on them; the pool maps over the videos in

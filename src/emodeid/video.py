@@ -12,11 +12,11 @@ import base64
 import functools
 import math
 import os
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .clients import JsonEndpoint
 from .errors import ClientUnavailableError, InvalidParamError, ParseError, parse_json_lines
@@ -49,16 +49,6 @@ def clip_box(box: FaceBox, width: int, height: int) -> FaceBox | None:
     return FaceBox(box.frame_index, x0, y0, x1 - x0, y1 - y0)
 
 
-class FaceDetector(ABC):
-    """Source of face bounding boxes for individual frames."""
-
-    @abstractmethod
-    def detect(self, frame: np.ndarray, frame_index: int) -> list[FaceBox]: ...
-
-    def close(self) -> None:
-        """Release open connections, if the detector holds any."""
-
-
 def _face_box(rec) -> FaceBox:
     box = FaceBox(int(rec["frame_index"]), int(rec["x"]), int(rec["y"]),
                   int(rec["w"]), int(rec["h"]))
@@ -67,7 +57,7 @@ def _face_box(rec) -> FaceBox:
     return box
 
 
-class SidecarDetector(FaceDetector):
+class SidecarDetector:
     """Boxes read from a sidecar file, keyed by frame index."""
 
     def __init__(self, path: str | Path):
@@ -78,8 +68,11 @@ class SidecarDetector(FaceDetector):
     def detect(self, frame: np.ndarray, frame_index: int) -> list[FaceBox]:
         return list(self.boxes.get(frame_index, []))
 
+    def close(self) -> None:
+        """Nothing to release."""
 
-class RemoteDetector(JsonEndpoint, FaceDetector):
+
+class RemoteDetector(JsonEndpoint):
     """Boxes fetched from an external detection service.
 
     The request carries one base64-encoded frame plus shape metadata; the
@@ -114,13 +107,24 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _blur_operator(n: int, sigma: float) -> np.ndarray:
-    """(n, n) edge-clamped Gaussian blur, read-only as the cache shares it: ``B[i, j]`` sums
-    the taps of output ``i`` whose clamped source is ``j``, as ``convolve1d(mode="nearest")``."""
+    """(n, n) edge-clamped Gaussian blur, read-only as the cache shares it: ``B[i, j]`` sums,
+    in ascending tap order, the taps of output ``i`` whose clamped source is ``j``, as
+    ``convolve1d(mode="nearest")``. Memory is O(n² + r) however far the radius r reaches."""
     kernel = gaussian_kernel(sigma)
-    radius = kernel.size // 2
-    source = np.clip(np.arange(n)[:, None] + np.arange(-radius, radius + 1), 0, n - 1)
-    flat = source + n * np.arange(n)[:, None]
-    op = np.bincount(flat.ravel(), np.tile(kernel, n), n * n).reshape(n, n)
+    r = kernel.size // 2
+    if n == 1:
+        op = np.cumsum(kernel)[-1:].reshape(1, 1)
+    else:
+        # B[i, j] = kernel[j - i + r] where that tap exists: row i is band[n - 1 - i :][:n].
+        band = np.zeros(2 * n - 1)
+        lo, hi = max(n - 1 - r, 0), min(n + r, 2 * n - 1)
+        band[lo:hi] = kernel[lo - n + 1 + r : hi - n + 1 + r]
+        op = sliding_window_view(band, n)[::-1].copy()
+        # Taps t <= r - i clamp to column 0, taps t >= n - 1 - i + r to column n - 1; the
+        # band is 0 in both columns of the rows that no such tap reaches.
+        op[: r + 1, 0] = np.cumsum(kernel)[r::-1][:n]
+        for i in range(max(n - 1 - r, 0), n):
+            op[i, -1] = np.cumsum(kernel[n - 1 - i + r :])[-1]
     op.flags.writeable = False
     return op
 

@@ -2,6 +2,7 @@ import base64
 import csv
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -150,6 +151,45 @@ def test_mask_frames_sidecar(tmp_path, capsys):
     # untouched frames are copied bit for bit
     assert (out / "0001.ppm").read_bytes() == (frames / "0001.ppm").read_bytes()
     assert (out / "0000.ppm").read_bytes() != (frames / "0000.ppm").read_bytes()
+
+
+# Boxes made for 1280x720 frames, given with 640x360 ones: frame 0's reaches
+# past the right edge and is clipped; frame 1's lies wholly outside.
+_HD_BOXES = [{"frame_index": 0, "x": 500, "y": 200, "w": 300, "h": 300},
+             {"frame_index": 1, "x": 900, "y": 500, "w": 200, "h": 200}]
+
+
+@pytest.mark.parametrize("source", ["boxes", "detector-url"])
+def test_mask_frames_warns_of_each_box_wholly_outside_its_frame(tmp_path, capsys, source,
+                                                                 json_server):
+    frames = tmp_path / "frames"
+    _write_frames(frames, n=2, width=640, height=360)
+    out = tmp_path / "out"
+    args = ["mask-frames", str(frames), str(out)]
+    if source == "boxes":
+        boxes = tmp_path / "boxes.jsonl"
+        boxes.write_text("".join(json.dumps(b) + "\n" for b in _HD_BOXES))
+        args += ["--boxes", str(boxes)]
+    else:
+        url = json_server(lambda path, body: (200, {"boxes": [_HD_BOXES[body["frame_index"]]]}))
+        args += ["--detector-url", url + "/d"]
+    assert main(args) == 0
+    assert capsys.readouterr().err == (
+        "warning: box (x 900, y 500, w 200, h 200) lies wholly outside frame 1 (640x360); skipped\n")
+    assert (out / "0000.ppm").read_bytes() != (frames / "0000.ppm").read_bytes()
+    assert (out / "0001.ppm").read_bytes() == (frames / "0001.ppm").read_bytes()
+
+
+def test_mask_frames_warns_of_a_box_beyond_the_edge_but_not_of_one_on_it(tmp_path, capsys):
+    frames = tmp_path / "frames"
+    _write_frames(frames, n=1)  # 32x24
+    boxes = tmp_path / "boxes.jsonl"
+    edges = [(24, 16, 8, 8), (-8, 0, 8, 8), (32, 0, 8, 8), (0, 24, 8, 8)]  # x, y, w, h
+    boxes.write_text("".join(json.dumps({"frame_index": 0, "x": x, "y": y, "w": w, "h": h}) + "\n"
+                             for x, y, w, h in edges))
+    assert main(["mask-frames", str(frames), str(tmp_path / "out"), "--boxes", str(boxes)]) == 0
+    warned = re.findall(r"box \(x (-?\d+), y (\d+),", capsys.readouterr().err)
+    assert warned == [("-8", "0"), ("32", "0"), ("0", "24")]
 
 
 def test_mask_frames_unreadable_frame_exits_2(tmp_path, capsys):

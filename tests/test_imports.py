@@ -1,8 +1,12 @@
 """Every module-level import in src/, tests/ and scripts/ is read in its module
-or listed in its ``__all__``, unless the import says ``# noqa: F401``; and
-``errors.py`` is the one module of the package that decodes JSON."""
+or listed in its ``__all__``, unless the import says ``# noqa: F401``;
+``errors.py`` is the one module of the package that decodes JSON; and the CLI
+loads neither ``scipy.signal`` nor ``requests`` until a command needs them."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,3 +79,13 @@ def test_json_is_decoded_only_in_errors():
         if json_decoding_lines(path.read_text(encoding="utf-8"))
     ]
     assert found == ["errors.py"]
+
+
+def test_importing_the_cli_loads_neither_scipy_signal_nor_requests():
+    # A fresh interpreter: this test process may have imported both already.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, emodeid.cli; print(sorted({'scipy.signal', 'requests'} & set(sys.modules)))"
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                           check=True, timeout=120)
+    assert child.stdout == "[]\n"

@@ -359,6 +359,35 @@ def test_run_pipeline_deterministic(mock_dataset):
     assert 0.0 <= results[0]["confidence"] <= 10.0
 
 
+def test_batch_times_any_client_that_does_not_declare_itself_deterministic(mock_dataset):
+    records, media, fixtures, _, _ = mock_dataset
+    mock_mllm, mock_judge = MockMllmClient(fixtures["mllm"]), MockLlmClient(fixtures["judge"])
+
+    class PlainMllm:
+        """Only ``generate``: no base class, no ``deterministic``, no ``close``."""
+
+        def generate(self, prompt, frames, spectrograms):
+            time.sleep(0.02)
+            return mock_mllm.generate(prompt, frames, spectrograms)
+
+    class PlainJudge:
+        def complete(self, prompt):
+            return mock_judge.complete(prompt)
+
+    config = SamplingConfig(frame_count=4)
+    started = time.monotonic()
+    plain, failed = run_batch(records, media, config, PlainMllm(), PlainJudge(), ["van"],
+                              workers=1)["van"]
+    elapsed = time.monotonic() - started
+    mock, _ = run_batch(records, media, config, mock_mllm, mock_judge, ["van"], workers=1)["van"]
+    assert failed == [] and len(plain) == len(records)
+    # Each result's timing is its own generate-and-judge wall time.
+    assert all(r["timing_s"] >= 0.02 for r in plain)
+    assert sum(r["timing_s"] for r in plain) <= elapsed
+    assert [r["timing_s"] for r in mock] == [0.0] * len(records)
+    assert [dict(r, timing_s=0.0) for r in plain] == mock
+
+
 def test_video_only_mode_skips_audio(mock_dataset):
     class CountingMllm(MockMllmClient):
         """Replays fixtures and records how many spectrograms each request sends."""

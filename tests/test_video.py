@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from contextlib import closing
 
 import numpy as np
@@ -10,6 +11,7 @@ from emodeid.video import (
     FaceBox,
     RemoteDetector,
     SidecarDetector,
+    _blur_operator,
     blur_region,
     clip_box,
     default_sigma_policy,
@@ -156,6 +158,44 @@ def test_blur_matches_the_convolution_oracle_byte_for_byte():
         sigma = default_sigma_policy(box)
         out = blur_region(arr, box, sigma)
         np.testing.assert_array_equal(out, _convolve_oracle(arr, box, sigma), err_msg=str(box))
+
+
+def _scatter_blur_operator(n, sigma):
+    """The operator as a scatter of each output's clamped taps: O(n·r) memory, so the
+    reference for ``_blur_operator``, which builds the same bits in O(n² + r)."""
+    kernel = gaussian_kernel(sigma)
+    radius = kernel.size // 2
+    source = np.clip(np.arange(n)[:, None] + np.arange(-radius, radius + 1), 0, n - 1)
+    flat = source + n * np.arange(n)[:, None]
+    return np.bincount(flat.ravel(), np.tile(kernel, n), n * n).reshape(n, n)
+
+
+def test_blur_operator_equals_the_tap_scatter_bit_for_bit():
+    # Radii from 1 to 3000 against sides from 1 to 640, so r < n, r = n and r > n.
+    for n in (1, 2, 3, 4, 7, 16, 33, 100, 160, 360, 640):
+        for sigma in (0.3, 1 / 3, 1.0, 2.5, 7.0, 25.0, 40.0, 100.0, 333.3, 1000.0):
+            op = _blur_operator(n, sigma)
+            assert not op.flags.writeable
+            np.testing.assert_array_equal(op.view(np.int64),
+                                          _scatter_blur_operator(n, sigma).view(np.int64),
+                                          err_msg=f"n={n}, sigma={sigma}")
+
+
+def test_a_box_far_wider_than_its_frame_is_blurred_in_memory_bounded_by_the_frame():
+    frame = np.random.default_rng(6).integers(0, 256, (360, 640, 3), dtype=np.uint8)
+    box = FaceBox(0, -16000, 100, 32000, 100)  # sigma 8000, a kernel radius of 24000
+    _blur_operator.cache_clear()
+    tracemalloc.start()
+    try:
+        out = mask_frame(frame, [box])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The tap scatter took 743 MB here; the (640, 640) operator itself is 3.3 MB.
+    assert peak < 25e6
+    np.testing.assert_array_equal(out[:100], frame[:100])
+    np.testing.assert_array_equal(out[200:], frame[200:])
+    assert not np.array_equal(out[100:200], frame[100:200])
 
 
 def test_mask_frame_blurs_every_box_in_listed_order():
