@@ -194,17 +194,15 @@ def anonymize_mcadams(audio: AudioSignal, params: AnonymizationParams) -> AudioS
     if audio.samples.size == 0:
         raise InvalidParamError("cannot anonymize an empty signal")
     params.frame.validate_for_rate(audio.sample_rate_hz)
-    if params.frame.win_samples(audio.sample_rate_hz) > audio.samples.size:
-        raise InvalidParamError("the analysis window is longer than the signal")
+    win = params.frame.win_samples(audio.sample_rate_hz)
     shift = params.frame.shift_samples(audio.sample_rate_hz)
+    if win > audio.samples.size:
+        raise InvalidParamError("the analysis window is longer than the signal")
+    window = hann_window(win)
     # One shift of zero padding on each side keeps every real sample in the
     # constant region of the window-overlap sum (the window is zero at its
     # first sample, so an unpadded signal would lose sample 0).
-    padded = AudioSignal(
-        np.pad(audio.samples, (shift, shift)), audio.sample_rate_hz
-    )
-    frames = frame_signal(padded, params.frame)
-    window = hann_window(params.frame.win_samples(audio.sample_rate_hz))
+    frames = frame_signal(np.pad(audio.samples, (shift, shift)), win, shift)
     order = params.frame.lpc_order
     block = block_frames(order)
     for start in range(0, frames.shape[0], block):
@@ -217,9 +215,9 @@ def anonymize_mcadams(audio: AudioSignal, params: AnonymizationParams) -> AudioS
             _fir_rows(windowed, coeffs), _expand_rows(warped)
         )
     out = overlap_add(
-        frames, params.frame, audio.sample_rate_hz, padded.samples.size
+        frames, window, shift, audio.samples.size + 2 * shift
     )[shift : shift + audio.samples.size]
-    peak = np.max(np.abs(out)) if out.size else 0.0
+    peak = np.max(np.abs(out))
     if peak > 1.0:
         out = out * (0.99 / peak)
     return AudioSignal(out, audio.sample_rate_hz)

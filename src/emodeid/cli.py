@@ -117,7 +117,8 @@ def cmd_anonymize_audio(input_path, output_path, **cfg):
 def cmd_mask_frames(frames_dir, output_dir, boxes_path, detector_url):
     """Blur face regions in a directory of PPM frames (sorted, index order).
 
-    Each box is blurred with sigma = max(w, h) / 4.
+    Each box is blurred with sigma = max(w, h) / 4. A last line counts the
+    boxes given, those clipped to their frame and those wholly outside it.
     """
     if (boxes_path is None) == (detector_url is None):
         raise click.UsageError("provide exactly one of --boxes or --detector-url")
@@ -130,15 +131,21 @@ def cmd_mask_frames(frames_dir, output_dir, boxes_path, detector_url):
     )
     paths = list_frames(frames_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
+    given = clipped = outside = 0
     try:
         for index, path in enumerate(paths):
             frame = read_ppm(path)
             boxes = detector.detect(frame, index)
             height, width, _ = frame.shape
+            given += len(boxes)
             for box in boxes:
-                if clip_box(box, width, height) is None:
+                inside = clip_box(box, width, height)
+                if inside is None:
+                    outside += 1
                     click.echo(f"warning: box (x {box.x}, y {box.y}, w {box.w}, h {box.h}) lies "
                                f"wholly outside frame {index} ({width}x{height}); skipped", err=True)
+                elif inside != box:
+                    clipped += 1
             masked = mask_frame(frame, boxes)
             with atomic_path(output_dir / path.name) as tmp:
                 write_ppm(tmp, masked)
@@ -148,6 +155,7 @@ def cmd_mask_frames(frames_dir, output_dir, boxes_path, detector_url):
         for idx in sorted(set(detector.boxes) - set(range(len(paths)))):
             click.echo(f"warning: boxes reference missing frame index {idx}; skipped", err=True)
     click.echo(f"masked {len(paths)} frames into {output_dir}")
+    click.echo(f"boxes: {given} given, {clipped} clipped to their frame, {outside} wholly outside")
 
 
 def _fixture_tables(doc) -> tuple[dict, dict]:

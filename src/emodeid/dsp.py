@@ -81,20 +81,18 @@ class MelSpectrogram:
     values: np.ndarray
 
 
-def frame_signal(audio: AudioSignal, params: FrameParams) -> np.ndarray:
-    """Slice a signal into overlapping frames; the last frame is zero-padded.
+def frame_signal(samples: np.ndarray, win: int, shift: int) -> np.ndarray:
+    """Slice samples into frames of ``win`` samples; the last frame is zero-padded.
 
-    Returns an array of shape (n_frames, win_samples); frame i starts at
-    sample i * shift_samples.
+    Returns an array of shape (n_frames, win); frame i starts at sample
+    i * shift.
     """
-    if audio.samples.size == 0:
+    if samples.size == 0:
         raise InvalidParamError("cannot frame an empty signal")
-    win = params.win_samples(audio.sample_rate_hz)
-    shift = params.shift_samples(audio.sample_rate_hz)
     # Zero-pad a short signal to one window, a longer one to a whole number
     # of shifts past its first window.
-    short = win - audio.samples.size
-    padded = np.pad(audio.samples, (0, max(short, short % shift)))
+    short = win - samples.size
+    padded = np.pad(samples, (0, max(short, short % shift)))
     return sliding_window_view(padded, win)[::shift].copy()
 
 
@@ -246,24 +244,15 @@ def synthesize(residual: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     return sps.lfilter([1.0], coefficients, np.asarray(residual, dtype=np.float64))
 
 
-def overlap_add(
-    frames: np.ndarray,
-    params: FrameParams,
-    sample_rate_hz: int,
-    total_length: int,
-) -> np.ndarray:
+def overlap_add(frames: np.ndarray, window: np.ndarray, shift: int, total_length: int) -> np.ndarray:
     """Sum windowed frames at their offsets and normalize by the window overlap.
 
-    Expects each frame to carry one application of the analysis window; the
-    divisor is the pointwise sum of shifted windows, floored at 1e-6. Frame
-    i starts at sample i * shift; samples past total_length are dropped.
+    Expects each frame to carry one application of ``window``; the divisor
+    is the pointwise sum of shifted windows, floored at 1e-6. Frame i starts
+    at sample i * shift; samples past total_length are dropped.
     """
-    win = params.win_samples(sample_rate_hz)
-    shift = params.shift_samples(sample_rate_hz)
     frames = np.asarray(frames, dtype=np.float64)
-    if frames.size == 0:
-        return np.zeros(total_length, dtype=np.float64)
-    n = frames.shape[0]
+    n, win = frames.shape
     pieces = -(-win // shift)
     rows = max(n + pieces, -(-total_length // shift))
     # Row q of each buffer holds samples q*shift .. (q+1)*shift - 1, and piece
@@ -271,7 +260,6 @@ def overlap_add(
     # sample's terms in frame order, like a loop over frames would.
     out = np.zeros((rows, shift))
     den = np.zeros((rows, shift))
-    window = hann_window(win)
     for j in reversed(range(pieces)):
         lo, hi = j * shift, min((j + 1) * shift, win)
         out[j : j + n, : hi - lo] += frames[:, lo:hi]

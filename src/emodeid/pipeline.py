@@ -209,8 +209,11 @@ def load_video_inputs(record: VideoRecord, media: DirectoryMediaSource, config: 
         if not segments:
             # Without a spectrogram the request would be the mode-v request.
             raise InvalidParamError(f"audio of video {record.video_id} is shorter than one segment")
-        specs = [mel_spectrogram(seg, bins=config.mel_bins).values
-                 for seg in segments[: config.max_segments]]
+        if config.max_segments is not None:
+            # A cap keeps clips from across the whole video, as frames are sampled.
+            keep = sample_frames_uniform(len(segments), min(config.max_segments, len(segments)))
+            segments = [segments[i] for i in keep]
+        specs = [mel_spectrogram(seg, bins=config.mel_bins).values for seg in segments]
     except _VIDEO_ERRORS as exc:
         specs = exc
     return frames, specs

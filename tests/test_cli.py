@@ -174,8 +174,11 @@ def test_mask_frames_warns_of_each_box_wholly_outside_its_frame(tmp_path, capsys
         url = json_server(lambda path, body: (200, {"boxes": [_HD_BOXES[body["frame_index"]]]}))
         args += ["--detector-url", url + "/d"]
     assert main(args) == 0
-    assert capsys.readouterr().err == (
+    captured = capsys.readouterr()
+    assert captured.err == (
         "warning: box (x 900, y 500, w 200, h 200) lies wholly outside frame 1 (640x360); skipped\n")
+    assert captured.out.splitlines()[-1] == (
+        "boxes: 2 given, 1 clipped to their frame, 1 wholly outside")
     assert (out / "0000.ppm").read_bytes() != (frames / "0000.ppm").read_bytes()
     assert (out / "0001.ppm").read_bytes() == (frames / "0001.ppm").read_bytes()
 
@@ -190,6 +193,25 @@ def test_mask_frames_warns_of_a_box_beyond_the_edge_but_not_of_one_on_it(tmp_pat
     assert main(["mask-frames", str(frames), str(tmp_path / "out"), "--boxes", str(boxes)]) == 0
     warned = re.findall(r"box \(x (-?\d+), y (\d+),", capsys.readouterr().err)
     assert warned == [("-8", "0"), ("32", "0"), ("0", "24")]
+
+
+@pytest.mark.parametrize("beyond, clipped", [(0, 0), (1, 4)])
+def test_mask_frames_counts_boxes_clipped_at_each_edge(tmp_path, capsys, beyond, clipped):
+    frames = tmp_path / "frames"
+    _write_frames(frames, n=1)  # 32x24
+    # Boxes flush with the left, right, top and bottom edges, pushed out by ``beyond``.
+    edges = [(-beyond, 8), (24 + beyond, 8), (12, -beyond), (12, 16 + beyond)]
+    boxes = tmp_path / "boxes.jsonl"
+    boxes.write_text("".join(
+        json.dumps({"frame_index": 0, "x": x, "y": y, "w": 8, "h": 8}) + "\n" for x, y in edges))
+    out = tmp_path / "out"
+    assert main(["mask-frames", str(frames), str(out), "--boxes", str(boxes)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-2:] == [
+        f"masked 1 frames into {out}",
+        f"boxes: 4 given, {clipped} clipped to their frame, 0 wholly outside",
+    ]
 
 
 def test_mask_frames_unreadable_frame_exits_2(tmp_path, capsys):

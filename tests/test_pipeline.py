@@ -24,7 +24,7 @@ from emodeid.clients import (
     mllm_request_payload,
     request_digest,
 )
-from emodeid.dsp import AudioSignal
+from emodeid.dsp import AudioSignal, mel_spectrogram
 from emodeid.errors import (
     ClientUnavailableError,
     InvalidParamError,
@@ -455,6 +455,38 @@ def test_mock_dataset_honours_max_segments(tmp_path):
     )["va"]
     assert failures == []
     assert [r["emotion"] for r in results] == [r.emotion.value for r in records]
+
+
+class RecordingMllmClient(MockMllmClient):
+    """Records the spectrograms of each request and gives one fixed reply."""
+
+    def __init__(self, reply):
+        super().__init__({})
+        self.reply, self.spectrograms = reply, []
+
+    def generate(self, prompt, frames, spectrograms):
+        self.spectrograms.append(spectrograms)
+        return self.reply
+
+
+def test_capped_segments_come_from_across_the_whole_audio(tmp_path):
+    record = _frames_video(tmp_path, "long", 8)
+    noise = np.random.default_rng(3).uniform(-0.3, 0.3, 31 * 16000)
+    write_wav(tmp_path / "long" / "audio.wav", AudioSignal(noise, 16000))
+    media = DirectoryMediaSource(tmp_path)
+    every = [mel_spectrogram(seg).values for seg in segment_audio(media.load_audio("long"), 2.0)]
+    assert len(every) == 15
+    reply = "A calm, steady voice."
+    judge_prompt = default_prompts().judge_template.format(response=reply)
+    judge = MockLlmClient(
+        {MockLlmClient.prompt_digest(judge_prompt): "EMOTION: positive\nCONFIDENCE: 7"})
+    mllm = RecordingMllmClient(reply)
+    _run(record, media, SamplingConfig(frame_count=4, max_segments=3), mllm, judge, "va")
+    [sent] = mllm.spectrograms
+    sent_from = [next(i for i, spec in enumerate(every) if np.array_equal(spec, s)) for s in sent]
+    # One clip from each third of the 15: segments 0-4, 5-9 and 10-14.
+    assert [i // 5 for i in sent_from] == [0, 1, 2]
+    assert sent_from == sample_frames_uniform(15, 3)
 
 
 @pytest.mark.parametrize("mode", ["va", "van"])
