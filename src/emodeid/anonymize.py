@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import AudioSignal, FrameParams, frame_signal, hann_window, overlap_add
+from .dsp import AudioSignal, frame_signal, hann_window, overlap_add
 from .errors import InvalidParamError
 
 MAX_POLE_MAGNITUDE = 1.0 - 1e-6
@@ -28,14 +30,23 @@ def block_frames(order: int) -> int:
     return max(1, BLOCK_ENTRIES // (order * order))
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnonymizationParams:
-    """Framing setup plus the McAdams coefficient."""
+    """Analysis framing (window and shift in milliseconds, LPC order) plus the
+    McAdams coefficient."""
 
-    frame: FrameParams = field(default_factory=FrameParams)
+    win_ms: float = 20.0
+    shift_ms: float = 10.0
+    lpc_order: int = 20
     mcadams_lambda: float = 0.8
 
     def __post_init__(self):
+        if not (0 < self.win_ms < math.inf and 0 < self.shift_ms < math.inf):
+            raise InvalidParamError("win_ms and shift_ms must be positive and finite")
+        if self.shift_ms > self.win_ms:
+            raise InvalidParamError("shift_ms must not exceed win_ms")
+        if self.lpc_order < 1:
+            raise InvalidParamError("lpc_order must be a positive integer")
         if not 0.0 < self.mcadams_lambda < 2.0:
             raise InvalidParamError("mcadams_lambda must be in (0, 2)")
 
@@ -193,9 +204,14 @@ def anonymize_mcadams(audio: AudioSignal, params: AnonymizationParams) -> AudioS
     """
     if audio.samples.size == 0:
         raise InvalidParamError("cannot anonymize an empty signal")
-    params.frame.validate_for_rate(audio.sample_rate_hz)
-    win = params.frame.win_samples(audio.sample_rate_hz)
-    shift = params.frame.shift_samples(audio.sample_rate_hz)
+    # A product that overflows is capped at the largest float, so a huge
+    # window fails the length check below instead of the integer conversion.
+    win, shift = (int(round(min(ms * audio.sample_rate_hz / 1000.0, sys.float_info.max)))
+                  for ms in (params.win_ms, params.shift_ms))
+    if shift < 1:
+        raise InvalidParamError("shift_ms must be at least one sample")
+    if params.lpc_order >= win:
+        raise InvalidParamError("lpc_order must be strictly less than the frame length in samples")
     if win > audio.samples.size:
         raise InvalidParamError("the analysis window is longer than the signal")
     window = hann_window(win)
@@ -203,7 +219,7 @@ def anonymize_mcadams(audio: AudioSignal, params: AnonymizationParams) -> AudioS
     # constant region of the window-overlap sum (the window is zero at its
     # first sample, so an unpadded signal would lose sample 0).
     frames = frame_signal(np.pad(audio.samples, (shift, shift)), win, shift)
-    order = params.frame.lpc_order
+    order = params.lpc_order
     block = block_frames(order)
     for start in range(0, frames.shape[0], block):
         # The block reads only its own rows, through this copy, so its

@@ -19,7 +19,6 @@ from . import annotations as ann
 from . import metrics as met
 from .anonymize import AnonymizationParams, anonymize_mcadams, usable_cpus
 from .clients import MockLlmClient, MockMllmClient, RemoteLlmClient, RemoteMllmClient
-from .dsp import FrameParams
 from .errors import ClientUnavailableError, EmodeidError, ParseError, parse_json
 from .pipeline import (
     MODES,
@@ -91,19 +90,15 @@ def cli():
 @click.argument("output_path", type=click.Path(dir_okay=False, path_type=Path))
 @click.option("--mcadams-lambda", "--lambda", "mcadams_lambda", type=float,
               default=AnonymizationParams.mcadams_lambda)
-@click.option("--win-ms", type=float, default=FrameParams.win_ms)
-@click.option("--shift-ms", type=float, default=FrameParams.shift_ms)
-@click.option("--lpc-order", type=int, default=FrameParams.lpc_order)
+@click.option("--win-ms", type=float, default=AnonymizationParams.win_ms)
+@click.option("--shift-ms", type=float, default=AnonymizationParams.shift_ms)
+@click.option("--lpc-order", type=int, default=AnonymizationParams.lpc_order)
 @_config_option
 def cmd_anonymize_audio(input_path, output_path, **cfg):
     """Speaker-anonymize a waveform file via pole-angle warping."""
     _echo_config("anonymize-audio", cfg)
     audio, encoding = read_wav(input_path)
-    params = AnonymizationParams(
-        frame=FrameParams(cfg["win_ms"], cfg["shift_ms"], cfg["lpc_order"]),
-        mcadams_lambda=cfg["mcadams_lambda"],
-    )
-    out = anonymize_mcadams(audio, params)
+    out = anonymize_mcadams(audio, AnonymizationParams(**cfg))
     with atomic_path(output_path) as tmp:
         write_wav(tmp, out, encoding)
     click.echo(f"wrote {output_path} ({out.duration_s:.2f} s at {out.sample_rate_hz} Hz)")

@@ -7,7 +7,6 @@ from concurrent workers.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,37 +40,6 @@ class AudioSignal:
     @property
     def duration_s(self) -> float:
         return self.samples.size / self.sample_rate_hz
-
-
-@dataclass(frozen=True)
-class FrameParams:
-    """Analysis framing parameters (window/shift in milliseconds, LPC order)."""
-
-    win_ms: float = 20.0
-    shift_ms: float = 10.0
-    lpc_order: int = 20
-
-    def __post_init__(self):
-        if not (0 < self.win_ms < math.inf and 0 < self.shift_ms < math.inf):
-            raise InvalidParamError("win_ms and shift_ms must be positive and finite")
-        if self.shift_ms > self.win_ms:
-            raise InvalidParamError("shift_ms must not exceed win_ms")
-        if self.lpc_order < 1:
-            raise InvalidParamError("lpc_order must be a positive integer")
-
-    def win_samples(self, sample_rate_hz: int) -> int:
-        return int(round(self.win_ms * sample_rate_hz / 1000.0))
-
-    def shift_samples(self, sample_rate_hz: int) -> int:
-        return int(round(self.shift_ms * sample_rate_hz / 1000.0))
-
-    def validate_for_rate(self, sample_rate_hz: int) -> None:
-        if self.shift_samples(sample_rate_hz) < 1:
-            raise InvalidParamError("shift_ms must be at least one sample")
-        if self.lpc_order >= self.win_samples(sample_rate_hz):
-            raise InvalidParamError(
-                "lpc_order must be strictly less than the frame length in samples"
-            )
 
 
 @dataclass

@@ -102,7 +102,9 @@ def segment_audio(audio: AudioSignal, seg_s: float) -> list[AudioSignal]:
         raise InvalidParamError("cannot segment an empty signal")
     if seg_s <= 0:
         raise InvalidParamError("segment length must be positive")
-    seg = int(round(seg_s * audio.sample_rate_hz))
+    # Capped one sample past the signal, so a huge segment gives no clips
+    # instead of an infinite product to round.
+    seg = int(round(min(seg_s * audio.sample_rate_hz, audio.samples.size + 1)))
     if seg == 0:
         raise InvalidParamError(
             f"a {seg_s} s segment is 0 samples at sample rate {audio.sample_rate_hz} Hz")

@@ -22,7 +22,6 @@ from emodeid.cli import main
 from emodeid.dsp import (
     AudioSignal,
     _check_conjugate_closed,
-    FrameParams,
     lpc_levinson,
     lpc_residual,
     mel_spectrogram,
@@ -45,7 +44,7 @@ def test_mcadams_identity_at_lambda_one():
     """Anonymization with a unit warping exponent is the identity map."""
     start = time.monotonic()
     rng = np.random.default_rng(2024)
-    params = AnonymizationParams(frame=FrameParams(), mcadams_lambda=1.0)
+    params = AnonymizationParams(mcadams_lambda=1.0)
     signals = []
     for _ in range(10):
         n = int(rng.uniform(1.0, 30.0) * 16000)

@@ -20,7 +20,6 @@ from emodeid.anonymize import (
 )
 from emodeid.dsp import (
     AudioSignal,
-    FrameParams,
     frame_signal,
     hann_window,
     lpc_levinson,
@@ -38,6 +37,11 @@ RATE = 16000
 # 1e-16..1e-15 relative, because frames at the edge of a pause give
 # ill-conditioned LPC fits; 1e-8 leaves room for that and nothing more.
 ORACLE_REL_L2 = 1e-8
+
+
+def samples(ms):
+    """Milliseconds at RATE in whole samples, rounded as the anonymizer does."""
+    return int(round(ms * RATE / 1000.0))
 
 
 def rel_l2(a, b):
@@ -219,19 +223,19 @@ def test_any_lambda_preserves_length(seed, lam):
     x = rng.uniform(-0.5, 0.5, n)
     out = anonymize_mcadams(
         AudioSignal(x, 16000),
-        AnonymizationParams(frame=FrameParams(20.0, 10.0, 12), mcadams_lambda=lam),
+        AnonymizationParams(20.0, 10.0, 12, mcadams_lambda=lam),
     )
     assert out.samples.size == n
 
 
 def per_frame_anonymize(x, params):
     """Reference McAdams loop, one frame at a time, from the per-frame dsp functions."""
-    win, shift = params.frame.win_samples(RATE), params.frame.shift_samples(RATE)
+    win, shift = samples(params.win_ms), samples(params.shift_ms)
     window = hann_window(win)
     frames = frame_signal(np.pad(x, (shift, shift)), win, shift) * window
     out = np.empty_like(frames)
     for i, frame in enumerate(frames):
-        coeffs, _ = lpc_levinson(frame, params.frame.lpc_order)
+        coeffs, _ = lpc_levinson(frame, params.lpc_order)
         warped = warp_pole_angles(poly_roots(coeffs), params.mcadams_lambda)
         out[i] = synthesize(lpc_residual(frame, coeffs), poles_to_coeffs(warped))
     y = overlap_add(out, window, shift, x.size + 2 * shift)[shift : shift + x.size]
@@ -256,16 +260,15 @@ def test_matches_per_frame_oracle_on_noise():
 
 
 def _assert_oracle_match_across_blocks(order):
-    frame = FrameParams(lpc_order=order)
-    shift = frame.shift_samples(RATE)
+    params = AnonymizationParams(lpc_order=order)
+    shift = samples(params.shift_ms)
     x = speech_with_pauses(np.random.default_rng(42), (block_frames(order) + 150) * shift)
-    params = AnonymizationParams(frame=frame)
     out = anonymize_mcadams(AudioSignal(x, RATE), params)
     assert rel_l2(out.samples, per_frame_anonymize(x, params)) <= ORACLE_REL_L2
 
 
 def test_matches_per_frame_oracle_across_blocks():
-    _assert_oracle_match_across_blocks(FrameParams().lpc_order)
+    _assert_oracle_match_across_blocks(AnonymizationParams().lpc_order)
 
 
 # Order 28 gives blocks of 522 frames. Higher orders leave the bound to
@@ -392,10 +395,10 @@ def test_pole_pair_just_outside_the_circle_raises():
 def test_one_eigenvalue_call_per_block(monkeypatch):
     calls = []
     monkeypatch.setattr(anonymize, "_roots_rows", lambda c: calls.append(1) or _roots_rows(c))
-    frame = FrameParams(lpc_order=28)
-    shift = frame.shift_samples(RATE)
+    params = AnonymizationParams(lpc_order=28)
+    shift = samples(params.shift_ms)
     x = np.random.default_rng(45).uniform(-0.5, 0.5, (2 * block_frames(28) + 10) * shift)
-    anonymize_mcadams(AudioSignal(x, RATE), AnonymizationParams(frame=frame))
+    anonymize_mcadams(AudioSignal(x, RATE), params)
     assert len(calls) == 3
 
 
@@ -412,9 +415,8 @@ def _anonymized_on(monkeypatch, cpus, x, params):
     (28, 0.8, block_frames(28) + 150),
 ])
 def test_output_bytes_do_not_depend_on_the_share_count(monkeypatch, order, lam, shifts):
-    frame = FrameParams(lpc_order=order)
-    x = speech_with_pauses(np.random.default_rng(46), shifts * frame.shift_samples(RATE))
-    params = AnonymizationParams(frame=frame, mcadams_lambda=lam)
+    params = AnonymizationParams(lpc_order=order, mcadams_lambda=lam)
+    x = speech_with_pauses(np.random.default_rng(46), shifts * samples(params.shift_ms))
     one = _anonymized_on(monkeypatch, 1, x, params)
     for cpus in (2, 3, 7):
         np.testing.assert_array_equal(_anonymized_on(monkeypatch, cpus, x, params), one)

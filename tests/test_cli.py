@@ -1,5 +1,7 @@
 import base64
+import contextlib
 import csv
+import io
 import json
 import os
 import re
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from emodeid import clients, pipeline
 from emodeid.annotations import NFBL_REGISTRY, nfbl_histogram
+from emodeid.anonymize import AnonymizationParams, anonymize_mcadams
 from emodeid.cli import EXIT_IO, EXIT_REMOTE, EXIT_USAGE, EXIT_VALIDATION, main
 from emodeid.clients import JsonEndpoint, mllm_request_digest
 from emodeid.dsp import AudioSignal
@@ -80,6 +83,20 @@ def test_anonymize_audio_precedence(wav_file, tmp_path, capsys, monkeypatch, fla
     assert '"lpc_order": 12' in echoed
 
 
+def test_anonymize_audio_framing_options_reach_the_anonymizer(wav_file, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"win_ms": 25.0, "shift_ms": 10.0, "lpc_order": 16, "mcadams_lambda": 0.7}))
+    configured, default, expected = (tmp_path / name for name in ("cfg.wav", "def.wav", "exp.wav"))
+    assert main(["anonymize-audio", "--config", str(cfg), str(wav_file), str(configured)]) == 0
+    assert main(["anonymize-audio", str(wav_file), str(default)]) == 0
+    audio, encoding = read_wav(wav_file)
+    write_wav(expected, anonymize_mcadams(audio, AnonymizationParams(25.0, 10.0, 16, 0.7)),
+              encoding)
+    assert configured.read_bytes() == expected.read_bytes()
+    assert configured.read_bytes() != default.read_bytes()
+
+
 _ANONYMIZE_KEYS = st.sampled_from(["mcadams_lambda", "win_ms", "shift_ms", "lpc_order"])
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -87,6 +104,10 @@ _JSON = st.recursive(
     | st.dictionaries(st.text(max_size=8), inner, max_size=3),
     max_leaves=6,
 )
+# Windows far longer than the signal; at 1e308 ms the product with the rate
+# is past the float range.
+_TOO_LONG = [{"win_ms": 1e12, "shift_ms": 1e12}, {"win_ms": 1e308, "shift_ms": 1e308},
+             {"win_ms": 1e308}]
 
 
 # The WAV is 0.1 s at 2 kHz, so even the most expensive accepted config (a
@@ -101,17 +122,23 @@ _JSON = st.recursive(
 @example(doc={"mode": "bogus"})
 @example(doc={"lpc_order": 4.7})
 @example(doc={"win_ms": "nan"})
-@example(doc={"win_ms": 1e12, "shift_ms": 1e12})
+@example(doc=_TOO_LONG[0])
+@example(doc=_TOO_LONG[1])
+@example(doc=_TOO_LONG[2])
 @example(doc={"shift_ms": 0.1})
 @example(doc={"mcadams_lambda": "0.9", "lpc_order": 8})
 def test_anonymize_audio_any_config_maps_to_an_exit_code(doc):
-    with tempfile.TemporaryDirectory() as tmp:
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
         wav, cfg = Path(tmp, "in.wav"), Path(tmp, "cfg.json")
         rng = np.random.default_rng(0)
         write_wav(wav, AudioSignal(rng.standard_normal(200) * 0.1, 2000), PCM16)
         cfg.write_text(json.dumps(doc))
         code = main(["anonymize-audio", "--config", str(cfg), str(wav), str(Path(tmp, "out.wav"))])
     assert code in (0, EXIT_USAGE, EXIT_VALIDATION)
+    if doc in _TOO_LONG:
+        assert code == EXIT_VALIDATION
+        assert err.getvalue() == "validation error: the analysis window is longer than the signal\n"
 
 
 def test_anonymize_audio_corrupt_input(tmp_path, capsys):
@@ -547,6 +574,22 @@ def test_run_pipeline_config_values_are_checked(tmp_path, doc, expected):
         assert (out_dir / "van" / "failures.jsonl").read_text() == ""
     else:
         assert not out_dir.exists()
+
+
+# 1e308 s times the sample rate is past the float range; 1e300 s is not.
+@pytest.mark.parametrize("seg_s", ["1e300", "1e308"])
+def test_run_pipeline_segment_longer_than_any_audio_fails_each_audio_mode(tmp_path, seg_s):
+    records, media, _, ann_path, fix_path = make_mock_dataset(tmp_path / "data")
+    out_dir = tmp_path / "run"
+    args = _pipeline_args(ann_path, media, out_dir, fix_path)
+    assert main(args + ["--audio-segment-s", seg_s]) == 0
+    assert len((out_dir / "v" / "results.jsonl").read_text().splitlines()) == len(records)
+    for mode in ("va", "van"):
+        assert (out_dir / mode / "results.jsonl").read_text() == ""
+        failures = [json.loads(line)
+                    for line in (out_dir / mode / "failures.jsonl").read_text().splitlines()]
+        assert [f["video_id"] for f in failures] == [r.video_id for r in records]
+        assert all("shorter than one segment" in f["error"] for f in failures)
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from emodeid.anonymize import AnonymizationParams, anonymize_mcadams
 from emodeid.dsp import (
     AudioSignal,
-    FrameParams,
     frame_signal,
     hann_window,
     overlap_add,
@@ -84,9 +84,11 @@ def test_overlap_add_zero_frames_gives_zero_signal():
 
 
 def test_frame_params_validation():
+    # Frame sizes live on AnonymizationParams; the per-rate check (LPC order
+    # below the frame length in samples) runs when the anonymizer sees a rate.
     with pytest.raises(InvalidParamError):
-        FrameParams(10.0, 20.0, 20)  # shift > win
+        AnonymizationParams(10.0, 20.0, 20)  # shift > win
     with pytest.raises(InvalidParamError):
-        FrameParams(20.0, 10.0, 0)
+        AnonymizationParams(20.0, 10.0, 0)
     with pytest.raises(InvalidParamError):
-        FrameParams(20.0, 10.0, 320).validate_for_rate(16000)
+        anonymize_mcadams(AudioSignal(np.zeros(640), 16000), AnonymizationParams(20.0, 10.0, 320))
