@@ -127,25 +127,22 @@ def cmd_mask_frames(frames_dir, output_dir, boxes_path, detector_url):
     paths = list_frames(frames_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     given = clipped = outside = 0
-    try:
-        for index, path in enumerate(paths):
-            frame = read_ppm(path)
-            boxes = detector.detect(frame, index)
-            height, width, _ = frame.shape
-            given += len(boxes)
-            for box in boxes:
-                inside = clip_box(box, width, height)
-                if inside is None:
-                    outside += 1
-                    click.echo(f"warning: box (x {box.x}, y {box.y}, w {box.w}, h {box.h}) lies "
-                               f"wholly outside frame {index} ({width}x{height}); skipped", err=True)
-                elif inside != box:
-                    clipped += 1
-            masked = mask_frame(frame, boxes)
-            with atomic_path(output_dir / path.name) as tmp:
-                write_ppm(tmp, masked)
-    finally:
-        detector.close()
+    for index, path in enumerate(paths):
+        frame = read_ppm(path)
+        boxes = detector.detect(frame, index)
+        height, width, _ = frame.shape
+        given += len(boxes)
+        for box in boxes:
+            inside = clip_box(box, width, height)
+            if inside is None:
+                outside += 1
+                click.echo(f"warning: box (x {box.x}, y {box.y}, w {box.w}, h {box.h}) lies "
+                           f"wholly outside frame {index} ({width}x{height}); skipped", err=True)
+            elif inside != box:
+                clipped += 1
+        masked = mask_frame(frame, boxes)
+        with atomic_path(output_dir / path.name) as tmp:
+            write_ppm(tmp, masked)
     if isinstance(detector, SidecarDetector):
         for idx in sorted(set(detector.boxes) - set(range(len(paths)))):
             click.echo(f"warning: boxes reference missing frame index {idx}; skipped", err=True)
@@ -212,14 +209,10 @@ def cmd_run_pipeline(annotations_path, media_root, output_dir, mock_fixtures, au
         fixtures, cfg["mllm_endpoint"], cfg["judge_endpoint"],
         auth_token, cfg["timeout_s"], cfg["max_attempts"],
     )
-    try:
-        write_results(output_dir,
-                      {"config.json": json.dumps(echo_cfg, sort_keys=True, indent=2) + "\n"})
-        modes = list(MODES) if cfg["mode"] == "all" else [cfg["mode"]]
-        outcomes = run_batch(records, media, sampling, mllm, judge, modes, workers=cfg["workers"])
-    finally:
-        mllm.close()
-        judge.close()
+    write_results(output_dir,
+                  {"config.json": json.dumps(echo_cfg, sort_keys=True, indent=2) + "\n"})
+    modes = list(MODES) if cfg["mode"] == "all" else [cfg["mode"]]
+    outcomes = run_batch(records, media, sampling, mllm, judge, modes, workers=cfg["workers"])
     reports = met.score([r for results, _ in outcomes.values() for r in results],
                         {r.video_id: r.emotion for r in records})
     # Every file of the run directory; one that this run cannot write (a mode

@@ -1,8 +1,8 @@
 """Inference clients: remote services plus offline mock fixtures.
 
 A client is any object with ``generate(prompt, frames, spectrograms) -> str``
-(MLLM) or ``complete(prompt) -> str`` (judge); ``close()`` and ``deterministic``
-are optional. ``requests`` is imported only where a request is sent.
+(MLLM) or ``complete(prompt) -> str`` (judge); ``deterministic`` is optional.
+``urllib.request`` is imported only where a request is sent.
 
 Remote payloads carry frames and spectrograms as base64-encoded arrays with
 shape metadata. Mock clients replay transcripts from a fixture file keyed by
@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import json
 import math
-import threading
 import time
 
 import numpy as np
 
-from .errors import ClientUnavailableError, InvalidParamError
+from .errors import ClientUnavailableError, InvalidParamError, ParseError, parse_json
 
 
 def encode_array(arr: np.ndarray) -> dict:
@@ -75,71 +75,62 @@ def request_digest(payload: dict) -> str:
 
 
 class JsonEndpoint:
-    """POST JSON to one URL; every failure surfaces as ClientUnavailableError.
+    """POST JSON to one http(s) URL, on a new connection each time and
+    following no redirect; every failure surfaces as ClientUnavailableError.
 
     Network errors, undecodable or too deeply nested replies and 5xx are
-    retried with exponential backoff; a 4xx, or a 200 whose JSON is not an
-    object, is raised at once. Each thread gets its own session, as
-    ``run_batch`` calls clients from a pool; ``close`` closes them all. The
-    remote clients and detector subclass it and add only their request method.
+    retried with exponential backoff; a 4xx, a 3xx or a 200 whose JSON is not
+    an object is raised at once. The remote clients and detector subclass it
+    and add only their request method.
     """
 
     def __init__(self, url, auth_token=None, timeout_s=120.0, max_attempts=3, backoff_s=1.0):
+        if not url.lower().startswith(("http://", "https://")):
+            raise InvalidParamError(f"endpoint must be an http or https URL, not {url!r}")
         if max_attempts < 1:
             raise InvalidParamError(f"max_attempts must be at least 1, not {max_attempts}")
         if not 0.0 < timeout_s < math.inf:
             raise InvalidParamError(f"timeout_s must be positive and finite, not {timeout_s}")
         self.url = url
-        self.headers = {"Authorization": f"Bearer {auth_token}"} if auth_token else {}
+        self.headers = {"Content-Type": "application/json"}
+        if auth_token:
+            self.headers["Authorization"] = f"Bearer {auth_token}"
         self.timeout_s = timeout_s
         self.max_attempts = max_attempts
         self.backoff_s = backoff_s
-        self._local = threading.local()
-        self._sessions = []
-        self._lock = threading.Lock()
-
-    def _session(self):
-        import requests
-
-        local = self._local
-        if not hasattr(local, "session"):
-            local.session = requests.Session()
-            with self._lock:
-                self._sessions.append(local.session)
-        return local.session
-
-    def close(self) -> None:
-        """Close every thread's session; a later ``post`` opens new ones."""
-        with self._lock:
-            sessions, self._sessions = self._sessions, []
-            self._local = threading.local()
-        for session in sessions:
-            session.close()
 
     def post(self, payload: dict) -> dict:
         """The reply's JSON object; a reply of any other shape is a client error."""
-        import requests
+        from http.client import HTTPException
+        from urllib.error import HTTPError
+        from urllib.request import HTTPRedirectHandler, Request, build_opener
 
+        refuse = HTTPRedirectHandler()  # a redirect would carry the token to any host
+        refuse.redirect_request = lambda *args: None
+        opener = build_opener(refuse)
+        data = json.dumps(payload).encode()
         last = None
         for attempt in range(self.max_attempts):
             if attempt:
                 time.sleep(self.backoff_s * 2 ** (attempt - 1))
             try:
-                resp = self._session().post(
-                    self.url, json=payload, timeout=self.timeout_s, headers=self.headers
-                )
-                if resp.status_code < 400:
-                    body = resp.json()
-                    if isinstance(body, dict):
-                        return body
-                    raise ClientUnavailableError(
-                        f"{self.url} returned a {type(body).__name__}, not an object")
-            except (requests.RequestException, ValueError, RecursionError) as exc:
+                request = Request(self.url, data, self.headers)
+                with opener.open(request, timeout=self.timeout_s) as resp:
+                    body = parse_json(resp.read(), lambda doc: doc, "reply")
+            except HTTPError as exc:
+                exc.close()
+                if exc.code < 500:
+                    raise ClientUnavailableError(f"{self.url} returned {exc.code}") from None
+                last = f"returned {exc.code}"
+                continue
+            # A URL that does not parse or a header that cannot be encoded raises ValueError.
+            except (OSError, HTTPException, ValueError, ParseError) as exc:
                 last = exc
                 continue
-            if resp.status_code < 500:
-                raise ClientUnavailableError(f"{self.url} returned {resp.status_code}")
-            last = f"returned {resp.status_code}"
+            if isinstance(body, dict):
+                return body
+            raise ClientUnavailableError(
+                f"{self.url} returned a {type(body).__name__}, not an object")
         raise ClientUnavailableError(
             f"{self.url} unreachable after {self.max_attempts} attempts: {last}")
 
@@ -175,9 +166,6 @@ class FixtureReplay:
         if digest not in self.fixtures:
             raise ClientUnavailableError(f"no fixture {what} {digest}{hint}")
         return self.fixtures[digest]
-
-    def close(self) -> None:
-        """Nothing to release."""
 
 
 class MockMllmClient(FixtureReplay):

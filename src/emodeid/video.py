@@ -50,8 +50,11 @@ def clip_box(box: FaceBox, width: int, height: int) -> FaceBox | None:
 
 
 def _face_box(rec) -> FaceBox:
-    box = FaceBox(int(rec["frame_index"]), int(rec["x"]), int(rec["y"]),
-                  int(rec["w"]), int(rec["h"]))
+    """Five JSON number fields, each truncated toward zero; a bool or a str is no number."""
+    values = [rec[k] for k in ("frame_index", "x", "y", "w", "h")]
+    if any(isinstance(v, (bool, str)) for v in values):
+        raise TypeError("box fields must be numbers")
+    box = FaceBox(*map(int, values))
     if box.w <= 0 or box.h <= 0:
         raise ValueError("box width/height must be positive")
     return box
@@ -67,9 +70,6 @@ class SidecarDetector:
 
     def detect(self, frame: np.ndarray, frame_index: int) -> list[FaceBox]:
         return list(self.boxes.get(frame_index, []))
-
-    def close(self) -> None:
-        """Nothing to release."""
 
 
 class RemoteDetector(JsonEndpoint):

@@ -53,16 +53,24 @@ def mock_dataset(tmp_path):
 @pytest.fixture
 def json_server():
     """Start loopback JSON services: ``json_server(route)`` returns the base URL
-    of a server that answers each POST with ``route(path, body)``, a
-    ``(status, reply)`` pair whose reply of None sends an empty body and
-    whose bytes reply is sent as it is. The servers stop when the test ends."""
+    of a server that answers each POST (or GET, whose body is None) with
+    ``route(path, body)``, a ``(status, reply)`` pair whose reply of None
+    sends an empty body and whose bytes reply is sent as it is. A triple
+    ``(status, reply, headers)`` also sends ``headers``, which may replace the
+    reply's Content-Length, and a route that returns None closes the
+    connection without an answer. Each request's headers and raw body are
+    appended to ``json_server.received``. The servers stop when the test ends."""
     servers = []
 
     def start(route):
         class Handler(http.server.BaseHTTPRequestHandler):
             def do_POST(self):
-                body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-                status, reply = route(self.path, body)
+                raw = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                start.received.append((self.headers, raw))
+                answer = route(self.path, json.loads(raw) if raw else None)
+                if answer is None:
+                    return
+                status, reply, *headers = answer
                 if reply is None:
                     payload = b""
                 elif isinstance(reply, bytes):
@@ -70,9 +78,12 @@ def json_server():
                 else:
                     payload = json.dumps(reply).encode()
                 self.send_response(status)
-                self.send_header("Content-Length", str(len(payload)))
+                for name, value in {"Content-Length": len(payload), **dict(*headers)}.items():
+                    self.send_header(name, str(value))
                 self.end_headers()
                 self.wfile.write(payload)
+
+            do_GET = do_POST
 
             def log_message(self, *args):
                 pass
@@ -82,6 +93,7 @@ def json_server():
         threading.Thread(target=server.serve_forever, daemon=True).start()
         return f"http://127.0.0.1:{server.server_port}"
 
+    start.received = []
     yield start
     for server in servers:
         server.shutdown()

@@ -18,7 +18,7 @@ from emodeid import clients, pipeline
 from emodeid.annotations import NFBL_REGISTRY, nfbl_histogram
 from emodeid.anonymize import AnonymizationParams, anonymize_mcadams
 from emodeid.cli import EXIT_IO, EXIT_REMOTE, EXIT_USAGE, EXIT_VALIDATION, main
-from emodeid.clients import JsonEndpoint, mllm_request_digest
+from emodeid.clients import mllm_request_digest
 from emodeid.dsp import AudioSignal
 from emodeid.pipeline import (
     SamplingConfig,
@@ -266,6 +266,16 @@ def test_mask_frames_requires_one_source(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+def test_mask_frames_rejects_a_detector_url_that_is_not_http_before_writing(tmp_path, capsys):
+    frames = tmp_path / "frames"
+    _write_frames(frames, n=1)
+    out = tmp_path / "out"
+    code = main(["mask-frames", str(frames), str(out), "--detector-url", "ftp://127.0.0.1/x"])
+    assert code == EXIT_VALIDATION
+    assert "http or https" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mask_frames_empty_boxes_identical(tmp_path):
     frames = tmp_path / "frames"
     _write_frames(frames)
@@ -342,16 +352,11 @@ def test_mask_frames_blurs_the_faces_of_every_frame(tmp_path, source, json_serve
         assert np.array_equal(before, after), name
 
 
-def test_mask_frames_visits_frames_in_name_order_and_closes_the_detector(
-    tmp_path, monkeypatch, json_server
-):
+def test_mask_frames_visits_frames_in_name_order(tmp_path, json_server):
     frames = tmp_path / "frames"
     frames.mkdir()
     for i in np.random.default_rng(8).permutation(12):
         write_ppm(frames / f"{i:04d}.ppm", np.full((4, 4, 3), i, np.uint8))
-    closed = []
-    real_close = JsonEndpoint.close
-    monkeypatch.setattr(JsonEndpoint, "close", lambda self: closed.append(1) or real_close(self))
     seen = []  # (frame_index, first pixel byte) per request; no faces found
 
     def route(path, body):
@@ -362,21 +367,23 @@ def test_mask_frames_visits_frames_in_name_order_and_closes_the_detector(
     code = main(["mask-frames", str(frames), str(tmp_path / "out"), "--detector-url", url + "/d"])
     assert code == 0
     assert seen == [(i, i) for i in range(12)]
-    assert closed == [1]
 
 
-def test_run_pipeline_closes_its_remote_clients(tmp_path, monkeypatch):
-    _, media, _, ann_path, _ = make_mock_dataset(tmp_path / "data")
-    closed = []
-    monkeypatch.setattr(JsonEndpoint, "close", lambda self: closed.append(self.url))
+def test_run_pipeline_records_one_failure_per_pair_from_unreachable_endpoints(tmp_path):
+    records, media, _, ann_path, _ = make_mock_dataset(tmp_path / "data")
+    out_dir = tmp_path / "run"
     code = main([
-        "run-pipeline", str(ann_path), str(media.root), str(tmp_path / "run"),
+        "run-pipeline", str(ann_path), str(media.root), str(out_dir),
         "--mode", "all", "--mllm-endpoint", "http://127.0.0.1:1/mllm",
         "--judge-endpoint", "http://127.0.0.1:1/judge", "--max-attempts", "1",
         "--timeout-s", "0.2", "--workers", "2",
     ])
     assert code == 0
-    assert closed == ["http://127.0.0.1:1/mllm", "http://127.0.0.1:1/judge"]
+    for mode in ("v", "va", "van"):
+        failures = [json.loads(line)
+                    for line in (out_dir / mode / "failures.jsonl").read_text().splitlines()]
+        assert sorted(f["video_id"] for f in failures) == [r.video_id for r in records]
+        assert all("http://127.0.0.1:1/mllm" in f["error"] for f in failures)
 
 
 def _pipeline_args(ann_path, media, out_dir, fix_path, mode="all"):
@@ -610,8 +617,10 @@ def test_run_pipeline_rejects_bad_sampling_before_any_video(tmp_path, capsys, fl
 @pytest.mark.parametrize(
     "flags",
     [["--max-attempts", "0"], ["--timeout-s", "0"], ["--timeout-s", "-1"],
-     ["--timeout-s", "nan"], ["--timeout-s", "inf"]],
-    ids=["max-attempts-0", "timeout-0", "timeout-minus-1", "timeout-nan", "timeout-inf"],
+     ["--timeout-s", "nan"], ["--timeout-s", "inf"], ["--mllm-endpoint", "localhost:8000/mllm"],
+     ["--judge-endpoint", "file:///etc/hostname"]],
+    ids=["max-attempts-0", "timeout-0", "timeout-minus-1", "timeout-nan", "timeout-inf",
+         "mllm-endpoint-without-scheme", "judge-endpoint-file-url"],
 )
 def test_run_pipeline_rejects_bad_remote_settings_before_any_video(tmp_path, capsys, flags):
     _, media, _, ann_path, _ = make_mock_dataset(tmp_path / "data")
@@ -720,6 +729,8 @@ _BOX = b'{"frame_index": 0, "x": 0, "y": 0, "w": 4, "h": 4}\n'
         (_annotations_file, _TWICE, "duplicate video_id (video 'v0')"),
         (_boxes_file, _BOX.replace(b'"x": 0', b'"x": Infinity'), "line 1"),
         (_boxes_file, _BOX + b"\xff\n", "line 2"),
+        (_boxes_file, _BOX.replace(b'"w": 4', b'"w": true'), "line 1"),
+        (_boxes_file, _BOX.replace(b'"x": 0', b'"x": "7"'), "line 1"),
         (_fixtures_file, b"{", ""),
         (_fixtures_file, b"[1]", ""),
         (_results_file, _RESULT + b"not json\n", "line 2"),
@@ -741,7 +752,8 @@ _BOX = b'{"frame_index": 0, "x": 0, "y": 0, "w": 4, "h": 4}\n'
     ids=[
         "annotations-videos-number", "annotations-videos-null", "annotations-not-utf8",
         "annotations-class-unknown", "annotations-duration-nan", "annotations-fps-infinity",
-        "annotations-video-twice", "boxes-infinity", "boxes-not-utf8", "fixtures-truncated",
+        "annotations-video-twice", "boxes-infinity", "boxes-not-utf8", "boxes-w-true",
+        "boxes-x-text", "fixtures-truncated",
         "fixtures-list", "results-not-json", "results-without-video-id", "results-empty",
         "results-video-unlabelled", "results-mode-unknown", "results-confidence-true",
         "results-confidence-nan", "results-confidence-negative", "results-confidence-above-10",

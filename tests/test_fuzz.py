@@ -52,7 +52,7 @@ def test_parse_annotations_raises_only_emodeid_errors(doc):
 
 
 _BOX = st.fixed_dictionaries(
-    {k: st.integers() | st.floats() | st.text(max_size=3) | st.none()
+    {k: st.integers() | st.floats() | st.booleans() | st.text(max_size=3) | st.none()
      for k in ("frame_index", "x", "y", "w", "h")}
 )
 
@@ -63,10 +63,19 @@ _BOX = st.fixed_dictionaries(
 ))
 @example(body=b'{"frame_index": 0, "x": Infinity, "y": 0, "w": 1, "h": 1}')
 @example(body=b'{"frame_index": 0, "x": 1, "y": 0, "w": 1, "h": 1}\n\xff\n')
+@example(body=b'{"frame_index": 0, "x": 1, "y": 0, "w": true, "h": 1}')
+@example(body=b'{"frame_index": 0, "x": "7", "y": 0, "w": 1, "h": 1}')
 def test_sidecar_detector_raises_only_emodeid_errors(tmp_path, body):
     path = tmp_path / "boxes.jsonl"
     path.write_bytes(body)
-    _only_emodeid_errors(lambda: SidecarDetector(path))
+    try:
+        SidecarDetector(path)
+    except EmodeidError:
+        return
+    for line in body.splitlines():  # every line it accepts is a box of JSON numbers
+        if line.strip():
+            rec = json.loads(line)
+            assert all(type(rec[k]) in (int, float) for k in ("frame_index", "x", "y", "w", "h"))
 
 
 _RESULT = st.fixed_dictionaries({

@@ -1,7 +1,7 @@
 """Every module-level import in src/, tests/ and scripts/ is read in its module
 or listed in its ``__all__``, unless the import says ``# noqa: F401``;
 ``errors.py`` is the one module of the package that decodes JSON; and the CLI
-loads neither ``scipy.signal`` nor ``requests`` until a command needs them."""
+loads neither ``scipy.signal`` nor an HTTP client until a command needs them."""
 
 import ast
 import os
@@ -82,10 +82,11 @@ def test_json_is_decoded_only_in_errors():
 
 
 def test_importing_the_cli_loads_neither_scipy_signal_nor_requests():
-    # A fresh interpreter: this test process may have imported both already.
+    # A fresh interpreter: this test process may have imported them already.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    code = "import sys, emodeid.cli; print(sorted({'scipy.signal', 'requests'} & set(sys.modules)))"
+    lazy = {"scipy.signal", "requests", "urllib.request", "http.client"}
+    code = f"import sys, emodeid.cli; print(sorted({lazy!r} & set(sys.modules)))"
     child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                            check=True, timeout=120)
     assert child.stdout == "[]\n"

@@ -1,15 +1,13 @@
 import json
 import os
+import re
 import sys
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from pathlib import Path
 
 import numpy as np
 import pytest
-import requests
 
 from emodeid import pipeline
 from emodeid.annotations import Emotion, NfblClip, VideoRecord
@@ -364,7 +362,7 @@ def test_batch_times_any_client_that_does_not_declare_itself_deterministic(mock_
     mock_mllm, mock_judge = MockMllmClient(fixtures["mllm"]), MockLlmClient(fixtures["judge"])
 
     class PlainMllm:
-        """Only ``generate``: no base class, no ``deterministic``, no ``close``."""
+        """Only ``generate``: no base class and no ``deterministic``."""
 
         def generate(self, prompt, frames, spectrograms):
             time.sleep(0.02)
@@ -639,18 +637,17 @@ def inference_server(json_server):
 
 def test_remote_clients_roundtrip(inference_server):
     frames = [np.zeros((2, 2, 3), dtype=np.uint8)]
-    with closing(RemoteMllmClient(inference_server + "/mllm", timeout_s=5.0)) as mllm:
-        assert mllm.generate("p", frames, []) == "served: mllm"
-    with closing(RemoteLlmClient(inference_server + "/judge", timeout_s=5.0)) as judge:
-        assert judge.complete("p") == "served: judge"
+    mllm = RemoteMllmClient(inference_server + "/mllm", timeout_s=5.0)
+    assert mllm.generate("p", frames, []) == "served: mllm"
+    judge = RemoteLlmClient(inference_server + "/judge", timeout_s=5.0)
+    assert judge.complete("p") == "served: judge"
 
 
 def test_remote_client_retries_on_5xx(inference_server):
     client = RemoteLlmClient(
         inference_server + "/flaky", timeout_s=5.0, max_attempts=3, backoff_s=0.01
     )
-    with closing(client):
-        assert client.complete("p") == "served: judge"
+    assert client.complete("p") == "served: judge"
 
 
 def test_remote_client_unreachable_after_retries():
@@ -659,6 +656,63 @@ def test_remote_client_unreachable_after_retries():
     )
     with pytest.raises(ClientUnavailableError):
         client.complete("p")
+
+
+@pytest.mark.parametrize("token", [None, "s3cret"])
+def test_remote_clients_post_json_with_a_bearer_token_only_when_given(json_server, token):
+    url = json_server(lambda path, body: (200, {"text": "ok"}))
+    frames = [np.arange(12, dtype=np.uint8).reshape(2, 2, 3)]
+    spectrograms = [np.linspace(-1.0, 1.0, 6).reshape(2, 3)]
+    RemoteMllmClient(url + "/mllm", token, timeout_s=5.0).generate("p", frames, spectrograms)
+    RemoteLlmClient(url + "/judge", token, timeout_s=5.0).complete("judge é")
+    sent = [mllm_request_payload("p", frames, spectrograms), {"prompt": "judge é"}]
+    assert [raw for _, raw in json_server.received] == [json.dumps(p).encode() for p in sent]
+    for headers, _ in json_server.received:
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Authorization"] == (f"Bearer {token}" if token else None)
+
+
+def _stall(path, body):
+    time.sleep(0.75)  # past the client's 0.5 s timeout, and before its retry gives up
+    return None
+
+
+@pytest.mark.parametrize(
+    "route",
+    [lambda path, body: None, lambda path, body: (200, b'{"text": "cut"}', {"Content-Length": 100}), _stall],
+    ids=["dropped-connection", "truncated-body", "slower-than-timeout"],
+)
+def test_endpoint_retries_a_failed_transfer_then_names_its_url(json_server, route):
+    url = json_server(route) + "/judge"
+    client = RemoteLlmClient(url, timeout_s=0.5, max_attempts=2, backoff_s=0.01)
+    with pytest.raises(ClientUnavailableError, match=re.escape(f"{url} unreachable after 2")):
+        client.complete("p")
+    assert len(json_server.received) == 2
+
+
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+@pytest.mark.parametrize("scheme", ["http", "ftp"])
+def test_endpoint_follows_no_redirect_and_keeps_its_token(json_server, status, scheme):
+    elsewhere = json_server(lambda path, body: (200, {"text": "from elsewhere"}))
+    if scheme == "ftp":
+        elsewhere = "ftp" + elsewhere[len("http"):]
+    url = json_server(lambda path, body: (status, None, {"Location": elsewhere + "/x"})) + "/judge"
+    client = RemoteLlmClient(url, "s3cret", timeout_s=5.0, max_attempts=3, backoff_s=0.01)
+    with pytest.raises(ClientUnavailableError, match=re.escape(f"{url} returned {status}")):
+        client.complete("p")
+    # One request, to this URL only: no retry, and the token reached no other server.
+    assert [headers["Authorization"] for headers, _ in json_server.received] == ["Bearer s3cret"]
+
+
+@pytest.mark.parametrize(
+    "url", ["localhost:8000/mllm", "file:///etc/hostname", "ftp://127.0.0.1/x", "127.0.0.1:1/x"]
+)
+def test_endpoint_accepts_only_http_and_https_urls(url):
+    with pytest.raises(InvalidParamError, match="http"):
+        JsonEndpoint(url)
+    with pytest.raises(InvalidParamError, match="http"):
+        RemoteDetector(url)
+    assert JsonEndpoint("HTTPS://127.0.0.1:1/x").url == "HTTPS://127.0.0.1:1/x"
 
 
 @pytest.mark.parametrize(
@@ -677,7 +731,7 @@ def test_remote_client_does_not_retry_4xx(inference_server):
     client = RemoteLlmClient(
         inference_server + "/missing", timeout_s=5.0, max_attempts=3, backoff_s=0.01
     )
-    with closing(client), pytest.raises(ClientUnavailableError, match="returned 404"):
+    with pytest.raises(ClientUnavailableError, match="returned 404"):
         client.complete("p")
     assert _served_paths == ["/missing"]
 
@@ -685,18 +739,18 @@ def test_remote_client_does_not_retry_4xx(inference_server):
 @pytest.mark.parametrize("path", ["/list", "/numeric-text"])
 def test_remote_client_rejects_malformed_reply(inference_server, path):
     client = RemoteLlmClient(inference_server + path, timeout_s=5.0, backoff_s=0.01)
-    with closing(client), pytest.raises(ClientUnavailableError, match="returned a (list|int)"):
+    with pytest.raises(ClientUnavailableError, match="returned a (list|int)"):
         client.complete("p")
     assert _served_paths == [path]
 
 
 def test_batch_records_malformed_reply_per_video(mock_dataset, inference_server):
     records, media, fixtures, _, _ = mock_dataset
-    with closing(RemoteMllmClient(inference_server + "/list", timeout_s=5.0)) as mllm:
-        results, failures = run_batch(
-            records, media, SamplingConfig(frame_count=4), mllm,
-            MockLlmClient(fixtures["judge"]), modes=["v"], workers=2,
-        )["v"]
+    mllm = RemoteMllmClient(inference_server + "/list", timeout_s=5.0)
+    results, failures = run_batch(
+        records, media, SamplingConfig(frame_count=4), mllm,
+        MockLlmClient(fixtures["judge"]), modes=["v"], workers=2,
+    )["v"]
     assert results == []
     assert sorted(f["video_id"] for f in failures) == ["v000", "v001", "v002"]
     assert all("not an object" in f["error"] for f in failures)
@@ -705,11 +759,11 @@ def test_batch_records_malformed_reply_per_video(mock_dataset, inference_server)
 def test_batch_records_too_deeply_nested_reply_per_video(mock_dataset, inference_server):
     records, media, fixtures, _, _ = mock_dataset
     url = inference_server + "/deep"
-    with closing(RemoteMllmClient(url, timeout_s=5.0, backoff_s=0.01)) as mllm:
-        results, failures = run_batch(
-            records, media, SamplingConfig(frame_count=4), mllm,
-            MockLlmClient(fixtures["judge"]), modes=["v"], workers=2,
-        )["v"]
+    mllm = RemoteMllmClient(url, timeout_s=5.0, backoff_s=0.01)
+    results, failures = run_batch(
+        records, media, SamplingConfig(frame_count=4), mllm,
+        MockLlmClient(fixtures["judge"]), modes=["v"], workers=2,
+    )["v"]
     assert results == []
     assert [f["video_id"] for f in failures] == ["v000", "v001", "v002"]
     assert all(f"{url} unreachable after 3 attempts" in f["error"] for f in failures)
@@ -719,46 +773,15 @@ def test_batch_records_too_deeply_nested_reply_per_video(mock_dataset, inference
 def test_batch_records_blank_reply_per_video_without_retry(mock_dataset, inference_server):
     records, media, fixtures, _, _ = mock_dataset
     url = inference_server + "/blank"
-    with closing(RemoteMllmClient(url, timeout_s=5.0, backoff_s=0.01)) as mllm:
-        results, failures = run_batch(
-            records, media, SamplingConfig(frame_count=4), mllm,
-            MockLlmClient(fixtures["judge"]), modes=["v"], workers=2,
-        )["v"]
+    mllm = RemoteMllmClient(url, timeout_s=5.0, backoff_s=0.01)
+    results, failures = run_batch(
+        records, media, SamplingConfig(frame_count=4), mllm,
+        MockLlmClient(fixtures["judge"]), modes=["v"], workers=2,
+    )["v"]
     assert results == []
     assert [f["video_id"] for f in failures] == ["v000", "v001", "v002"]
     assert all(f["error"] == f"{url} returned an empty response" for f in failures)
     assert _served_paths == ["/blank"] * len(records)
-
-
-def test_endpoint_keeps_one_session_per_thread():
-    endpoint = JsonEndpoint("http://127.0.0.1:1/judge")
-    mine = endpoint._session()
-    assert endpoint._session() is mine
-    theirs = []
-    worker = threading.Thread(target=lambda: theirs.append(endpoint._session()))
-    worker.start()
-    worker.join()
-    assert theirs[0] is not mine
-
-
-def test_endpoint_close_closes_every_threads_session(monkeypatch):
-    closed = []
-    monkeypatch.setattr(requests.Session, "close", lambda self: closed.append(self))
-    endpoint = JsonEndpoint("http://127.0.0.1:1/judge")
-    barrier = threading.Barrier(3)
-
-    def open_session(_):
-        barrier.wait(timeout=10)  # three live threads, so three sessions
-        return endpoint._session()
-
-    with ThreadPoolExecutor(max_workers=3) as pool:
-        opened = list(pool.map(open_session, range(3)))
-    assert len(set(map(id, opened))) == 3
-    endpoint.close()
-    assert sorted(map(id, closed)) == sorted(map(id, opened))
-    assert endpoint._session() not in opened
-    endpoint.close()
-    assert len(closed) == 4
 
 
 def test_prompt_bundle_validation():

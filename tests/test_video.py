@@ -1,6 +1,5 @@
 import re
 import tracemalloc
-from contextlib import closing
 
 import numpy as np
 import pytest
@@ -376,6 +375,12 @@ def test_sidecar_detector_malformed(tmp_path):
         SidecarDetector(path)
 
 
+def test_sidecar_detector_truncates_fractional_fields_toward_zero(tmp_path):
+    path = tmp_path / "boxes.jsonl"
+    path.write_text('{"frame_index": 0.9, "x": -1.5, "y": 2.5, "w": 3.99, "h": 1e0}\n')
+    assert SidecarDetector(path).detect(checkerboard(), 0) == [FaceBox(0, -1, 2, 3, 1)]
+
+
 _flaky_failures_left = [0]
 _EMPTY_BOXES = {
     "/zero-w": {"x": 2, "y": 2, "w": 0, "h": 6},
@@ -408,8 +413,8 @@ def fake_detector_server(json_server):
 
 def test_remote_detector_clips_out_of_bounds_box(fake_detector_server):
     frame = checkerboard(64, 48)
-    with closing(RemoteDetector(fake_detector_server, timeout_s=5.0)) as detector:
-        boxes = [clip_box(b, frame.shape[1], frame.shape[0]) for b in detector.detect(frame, 0)]
+    detector = RemoteDetector(fake_detector_server, timeout_s=5.0)
+    boxes = [clip_box(b, frame.shape[1], frame.shape[0]) for b in detector.detect(frame, 0)]
     assert boxes == [FaceBox(0, 0, 5, 64, 10)]
 
 
@@ -417,15 +422,14 @@ def test_remote_detector_retries_on_5xx(fake_detector_server):
     detector = RemoteDetector(
         fake_detector_server.replace("/detect", "/flaky"), timeout_s=5.0, backoff_s=0.01
     )
-    with closing(detector):
-        boxes = detector.detect(checkerboard(64, 48), 3)
+    boxes = detector.detect(checkerboard(64, 48), 3)
     assert boxes == [FaceBox(3, -10, 5, 114, 10)]
     assert _flaky_failures_left == [0]
 
 
 def test_remote_detector_rejects_box_without_y(fake_detector_server):
     detector = RemoteDetector(fake_detector_server.replace("/detect", "/no-y"), timeout_s=5.0)
-    with closing(detector), pytest.raises(ClientUnavailableError, match="malformed box"):
+    with pytest.raises(ClientUnavailableError, match="malformed box"):
         detector.detect(checkerboard(64, 48), 0)
 
 
@@ -433,8 +437,16 @@ def test_remote_detector_rejects_box_without_y(fake_detector_server):
 def test_remote_detector_rejects_an_empty_box(fake_detector_server, path):
     # clip_box would drop it, leaving the face it stands for unblurred.
     detector = RemoteDetector(fake_detector_server.replace("/detect", path), timeout_s=5.0)
-    with closing(detector), pytest.raises(ClientUnavailableError, match="malformed box.*positive"):
+    with pytest.raises(ClientUnavailableError, match="malformed box.*positive"):
         detector.detect(checkerboard(64, 48), 0)
+
+
+@pytest.mark.parametrize("box", [{"x": 2, "y": 2, "w": True, "h": 6},
+                                 {"x": "7", "y": 2, "w": 6, "h": 6}], ids=["w-true", "x-text"])
+def test_remote_detector_rejects_a_field_that_is_not_a_number(json_server, box):
+    url = json_server(lambda path, body: (200, {"boxes": [box]}))
+    with pytest.raises(ClientUnavailableError, match="malformed box.*numbers"):
+        RemoteDetector(url + "/detect", timeout_s=5.0).detect(checkerboard(64, 48), 0)
 
 
 def test_remote_detector_unreachable():
